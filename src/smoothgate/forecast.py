@@ -152,8 +152,12 @@ class FloatSmoother:
         return self.double_step(x).value
 
     def startup_step(self, x: float) -> float:
-        """One recursive-mean step; forecast equals the mean of all inputs so far."""
-        assert self.n < self.n_alpha, "startup already complete"
+        """One recursive-mean step; forecast equals the mean of all inputs so far.
+
+        Raises AssertionError once startup is complete (also under -O).
+        """
+        if self.n >= self.n_alpha:
+            raise AssertionError("startup already complete")
         x = _check_finite(x)
         self.n += 1
         self.s1 = x / self.n + (1.0 - 1.0 / self.n) * self.s1
@@ -162,8 +166,12 @@ class FloatSmoother:
         return self.s1
 
     def double_step(self, x: float) -> TrendForecast:
-        """One double-smoothing step; only valid once startup is complete."""
-        assert self.n >= self.n_alpha, "startup incomplete"
+        """One double-smoothing step; only valid once startup is complete.
+
+        Raises AssertionError before then (also under -O).
+        """
+        if self.n < self.n_alpha:
+            raise AssertionError("startup incomplete")
         x = _check_finite(x)
         self.s1 = self.alpha * x + (1.0 - self.alpha) * self.s1
         self.s2 = self.alpha * self.s1 + (1.0 - self.alpha) * self.s2

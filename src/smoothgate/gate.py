@@ -3,9 +3,13 @@
 New session requests are denied (or delayed) while the forecast response
 time sits above the overload threshold; work already in progress is always
 allowed to finish.
+
+Decisions are immutable named tuples: they compare, hash and unpack like
+``(verdict, forecast_at_decision, request_kind, retry_after)``.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "NEW_SESSION",
@@ -50,8 +54,9 @@ class GatePolicy:
             raise ValueError(f"delay_amount must be >= 0, got {self.delay_amount}")
 
 
-@dataclass(frozen=True)
-class GateDecision:
+class GateDecision(NamedTuple):
+    """One admission verdict and the forecast it was judged on."""
+
     verdict: str
     forecast_at_decision: int
     request_kind: str

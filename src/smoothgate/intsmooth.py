@@ -31,10 +31,18 @@ def cdiv(a: int, b: int) -> int:
     """Signed integer division truncating toward zero (C semantics).
 
     Python's ``//`` floors, which differs for negative quotients:
-    cdiv(-10, 9) == -1 while -10 // 9 == -2.
+    cdiv(-10, 9) == -1 while -10 // 9 == -2.  Raises ZeroDivisionError
+    when b == 0.
     """
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+    # Branch on the signs so each case is one floor division of
+    # non-negative operands, which truncates.
+    if a >= 0:
+        if b > 0:
+            return a // b
+        return -(a // -b)
+    if b > 0:
+        return -(-a // b)
+    return -a // -b
 
 
 def clamp_observation(x: int, n_alpha: int) -> int:
@@ -110,27 +118,35 @@ class IntSmoother:
         self._primed = False
 
     def update(self, x: int) -> int:
-        """Absorb one observation and return the new forecast."""
-        x = clamp_observation(int(x), self.n_alpha)
+        """Absorb one observation and return the new forecast.
+
+        Raises TypeError when x is not an int: bool, float and str
+        observations are refused rather than coerced.
+        """
+        if type(x) is not int:
+            raise TypeError(f"observation must be an int, got {type(x).__name__}")
+        n_alpha = self.n_alpha
+        x = clamp_observation(x, n_alpha)
         now = int(self._clock())
+        n = self.n
         # Strictly greater-than: a pause of exactly reset_interval does not reset.
         if now - self.last_update > self.reset_interval:
-            self.n = 0
+            n = 0
         self.last_update = now
-        if self.n < self.n_alpha:
-            self.n += 1
-            self.s1 = cdiv(x + (self.n - 1) * self.s1, self.n)
-            self.s2 = self.s1
-            self._ft = self.s1
+        if n < n_alpha:
+            n += 1
+            self.n = n
+            s1 = s2 = ft = cdiv(x + (n - 1) * self.s1, n)
         else:
-            self.s1 = cdiv(x + (self.n_alpha - 1) * self.s1, self.n_alpha)
-            self.s2 = cdiv(self.s1 + (self.n_alpha - 1) * self.s2, self.n_alpha)
-            if self.n_alpha > 1:
-                self._ft = 2 * self.s1 - self.s2 + cdiv(self.s1 - self.s2, self.n_alpha - 1)
-            else:
-                self._ft = self.s1
+            m = n_alpha - 1
+            s1 = cdiv(x + m * self.s1, n_alpha)
+            s2 = cdiv(s1 + m * self.s2, n_alpha)
+            ft = 2 * s1 - s2 + cdiv(s1 - s2, m) if m else s1
+        self.s1 = s1
+        self.s2 = s2
+        self._ft = ft
         self._primed = True
-        return self._ft
+        return ft
 
     @property
     def forecast(self) -> int:

@@ -4,12 +4,14 @@ Scenarios expand into (event_time, latency) streams; ``run`` feeds each
 stream through an integer smoother (and optionally an admission gate) on a
 simulated clock, recording one trace row per event.  The runner adds no
 state of its own: the forecast column always equals what the smoother
-would produce fed the same (clock, observation) pairs directly.
+would produce fed the same (clock, observation) pairs directly.  Trace
+rows are immutable named tuples, so they compare and unpack like tuples.
 """
 
 import random
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gate import CongestionGate, GateDecision, GatePolicy, GateStats
 from .intsmooth import IntSmoother, ManualClock
@@ -149,8 +151,9 @@ def generate(scenario: Scenario) -> list[tuple[int, int]]:
     return events
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """State of the smoother (and the verdict, when gated) after event t."""
+
     t: int
     observe: int
     forecast: int
@@ -184,15 +187,13 @@ class SimTrace:
             header += ",decision"
         lines = [header]
         diffsum = 0
-        for r in self.rows:
-            diff = r.observe - r.forecast
+        # Unpacking a row is cheaper than reading its fields by name.
+        for t, observe, forecast, n, s1, s2, a, b, _clock, decision in self.rows:
+            diff = observe - forecast
             diffsum += diff
-            line = (
-                f"{r.t},{r.observe},{r.forecast},{diff},{diffsum},"
-                f"{r.n},{r.s1},{r.s2},{r.a},{r.b}"
-            )
+            line = f"{t},{observe},{forecast},{diff},{diffsum},{n},{s1},{s2},{a},{b}"
             if gated:
-                line += f",{r.decision.verdict}"
+                line += f",{decision.verdict}"
             lines.append(line)
         return "\n".join(lines) + "\n"
 
@@ -221,29 +222,19 @@ def run(
     smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_interval, clock=clock)
     gate = CongestionGate(smoother, policy) if policy is not None else None
     rows = []
+    append = rows.append
+    trend = smoother.trend
     for t, (offset, x) in enumerate(events, start=1):
-        clock.now = start_time + offset
+        clock.now = now = start_time + offset
         if gate is not None:
             decision = gate.observe_and_decide(x)
             forecast = decision.forecast_at_decision
         else:
             decision = None
             forecast = smoother.update(x)
-        level, slope = smoother.trend()
-        rows.append(
-            TraceRow(
-                t=t,
-                observe=x,
-                forecast=forecast,
-                n=smoother.n,
-                s1=smoother.s1,
-                s2=smoother.s2,
-                a=level,
-                b=slope,
-                clock=clock.now,
-                decision=decision,
-            )
-        )
+        level, slope = trend()
+        append(TraceRow(t, x, forecast, smoother.n, smoother.s1, smoother.s2,
+                        level, slope, now, decision))
     return SimTrace(
         rows=rows,
         n_alpha=n_alpha,

@@ -125,6 +125,33 @@ class TestFloatSmoother:
         with pytest.raises(AssertionError):
             m.double_step(1.0)
 
+    def test_step_contracts_hold_under_optimize(self):
+        # python -O strips assert statements; the phase checks must survive.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import smoothgate
+
+        script = (
+            "from smoothgate import FloatSmoother\n"
+            "for step, primed in (('double_step', 0), ('startup_step', 5)):\n"
+            "    m = FloatSmoother(0.2)\n"
+            "    for _ in range(primed):\n"
+            "        m.update(1.0)\n"
+            "    try:\n"
+            "        getattr(m, step)(10.0)\n"
+            "    except AssertionError:\n"
+            "        print(step, 'refused', m.n, m.s1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(smoothgate.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["double_step refused 0 0.0",
+                                            "startup_step refused 5 1.0"]
+
     def test_forecast_property_tracks_last_update(self):
         m = FloatSmoother(0.2)
         with pytest.raises(UnprimedError):

@@ -7,6 +7,7 @@ from smoothgate import (
     IN_PROGRESS,
     NEW_SESSION,
     CongestionGate,
+    GateDecision,
     GatePolicy,
     GateStats,
     IntSmoother,
@@ -59,6 +60,28 @@ class TestDecide:
     def test_unknown_request_kind_rejected(self, policy):
         with pytest.raises(ValueError):
             decide(policy, 100, "batch")
+
+
+class TestGateDecisionValue:
+    def test_fields_cannot_be_assigned(self, policy):
+        d = decide(policy, 612, NEW_SESSION)
+        with pytest.raises(AttributeError):
+            d.verdict = ADMIT
+        with pytest.raises(AttributeError):
+            d.retry_after = 5
+
+    def test_equal_fields_compare_equal(self):
+        assert GateDecision(DENY, 612, NEW_SESSION) == GateDecision(DENY, 612, NEW_SESSION)
+        assert GateDecision(DENY, 612, NEW_SESSION) != GateDecision(DENY, 613, NEW_SESSION)
+        assert GateDecision(DELAY, 1, NEW_SESSION, 2) != GateDecision(DELAY, 1, NEW_SESSION)
+
+    def test_retry_after_defaults_to_none(self):
+        assert GateDecision(ADMIT, 5, IN_PROGRESS).retry_after is None
+
+    def test_admitted_reads_the_verdict(self):
+        assert GateDecision(ADMIT, 5, IN_PROGRESS).admitted
+        assert not GateDecision(DENY, 5, NEW_SESSION).admitted
+        assert not GateDecision(DELAY, 5, NEW_SESSION, 1).admitted
 
 
 class TestPolicyValidation:

@@ -39,6 +39,11 @@ class TestCdiv:
         assert cdiv(-9, 9) == -1
         assert cdiv(0, 7) == 0
 
+    @pytest.mark.parametrize("a", [0, 7, -7])
+    def test_division_by_zero_raises(self, a):
+        with pytest.raises(ZeroDivisionError):
+            cdiv(a, 0)
+
 
 class TestClamp:
     def test_saturates_at_the_int32_fraction(self):
@@ -151,6 +156,15 @@ class TestContracts:
             IntSmoother(n_alpha=0)
         with pytest.raises(ValueError):
             IntSmoother(reset_interval=-1)
+
+    @pytest.mark.parametrize("x", ["5", 3.9, 5.0, True, False, None])
+    def test_update_rejects_non_int_observations(self, x):
+        sm = IntSmoother(clock=ManualClock(0))
+        with pytest.raises(TypeError):
+            sm.update(x)
+        with pytest.raises(UnprimedError):
+            sm.forecast  # the rejected value left no trace
+        assert (sm.n, sm.s1, sm.s2) == (0, 0, 0)
 
     def test_fields_stay_inside_int32_at_the_boundaries(self):
         sm = IntSmoother(n_alpha=10, clock=ManualClock(0))

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from smoothgate import (
     ADMIT,
+    DELAY,
+    DENY,
+    IN_PROGRESS,
     NEW_SESSION,
+    CongestionGate,
     FloatSmoother,
     GatePolicy,
     IntSmoother,
@@ -154,3 +158,45 @@ def test_moving_average_window_never_overfills():
     for i in range(40):
         m.update(rng.uniform(-10, 10))
         assert len(m) == min(i + 1, 6)
+
+
+def test_library_matches_the_oracle_on_signed_streams_with_resets():
+    # Drives the library itself (not only the oracle) through both branches
+    # on negative values and clamp extremes, with event gaps landing on and
+    # just past the reset interval.
+    rng = random.Random(4242)
+    for case in range(320):
+        n_alpha = case % 16 + 1
+        reset_interval = rng.randint(0, 8)
+        xs = _corpus(rng, n_alpha, rng.randint(1, 80))
+        xs = [x if rng.random() < 0.7 else rng.randint(-5_000, 5_000) for x in xs]
+        times, now = [], rng.randint(0, 2 * reset_interval + 2)
+        for _ in xs:
+            times.append(now)
+            now += rng.choice([0, 1, reset_interval, reset_interval, reset_interval,
+                               reset_interval + 1])
+        kinds = [rng.choice([NEW_SESSION, NEW_SESSION, IN_PROGRESS]) for _ in xs]
+        policy = GatePolicy(threshold=rng.choice([1, 1_000, cdiv(INT32_MAX, n_alpha)]),
+                            mode=rng.choice([DENY, DELAY]), delay_amount=rng.randint(0, 9))
+        expected = integer_trace(xs, n_alpha, event_times=times,
+                                 reset_interval=reset_interval)
+
+        clock = ManualClock(0)
+        sm = IntSmoother(n_alpha=n_alpha, reset_interval=reset_interval, clock=clock)
+        gclock = ManualClock(0)
+        gate = CongestionGate(
+            IntSmoother(n_alpha=n_alpha, reset_interval=reset_interval, clock=gclock),
+            policy)
+        for i, (x, when, kind, exp) in enumerate(zip(xs, times, kinds, expected)):
+            where = (case, i, n_alpha, reset_interval)
+            clock.now = gclock.now = when
+            ft = sm.update(x)
+            assert (sm.n, sm.s1, sm.s2, ft) == (exp["n"], exp["s1"], exp["s2"], exp["ft"]), where
+            d = gate.observe_and_decide(x, kind)
+            g = gate.smoother
+            assert (g.n, g.s1, g.s2, d.forecast_at_decision) == (sm.n, sm.s1, sm.s2, ft), where
+            refused = kind == NEW_SESSION and exp["ft"] > policy.threshold
+            assert d.verdict == (policy.mode if refused else ADMIT), where
+            assert d.request_kind == kind, where
+            assert d.retry_after == (policy.delay_amount if d.verdict == DELAY else None), where
+        assert gate.stats.decisions == len(xs)

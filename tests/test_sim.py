@@ -1,10 +1,14 @@
 import pytest
 
 from smoothgate import (
+    ADMIT,
+    NEW_SESSION,
+    GateDecision,
     GatePolicy,
     IntSmoother,
     ManualClock,
     Scenario,
+    TraceRow,
     generate,
     read_pairs,
     run,
@@ -150,6 +154,31 @@ class TestRun:
     def test_trace_rows_are_contiguous_from_one(self):
         trace = run(Scenario(kind="constant", length=9, level=5))
         assert [r.t for r in trace.rows] == list(range(1, 10))
+
+
+class TestTraceRowValue:
+    def test_fields_cannot_be_assigned(self):
+        row = run(Scenario(kind="constant", length=3, level=5)).rows[0]
+        with pytest.raises(AttributeError):
+            row.forecast = 0
+        with pytest.raises(AttributeError):
+            row.decision = None
+
+    def test_equal_fields_compare_equal(self):
+        a = run(Scenario(kind="constant", length=3, level=5)).rows
+        b = run(Scenario(kind="constant", length=3, level=5)).rows
+        assert a == b
+        assert a[0] == TraceRow(1, 5, 5, 1, 5, 5, 5, 0, 0)
+        assert a[0] != a[1]
+
+    def test_decision_defaults_to_none(self):
+        assert TraceRow(1, 5, 5, 1, 5, 5, 5, 0, 0).decision is None
+
+    def test_decision_of_a_gated_row_reports_admitted(self):
+        row = run(Scenario(kind="constant", length=1, level=5),
+                  policy=GatePolicy(threshold=10)).rows[0]
+        assert row.decision == GateDecision(ADMIT, 5, NEW_SESSION)
+        assert row.decision.admitted
 
 
 class TestTraceSerialization:
