@@ -23,7 +23,7 @@ from .forecast import (
 )
 from .gate import DELAY, DENY, GatePolicy
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .sim import GENERATOR_KINDS, Scenario, read_pairs, run
+from .sim import GENERATOR_KINDS, JITTER_KINDS, Scenario, read_pairs, run
 
 SMOOTH_TITLE = "-----Time Series Smoothing Algorithm-----"
 SMOOTH_COLUMNS = "_____count_____observe_____forecast_____diff_____diffsum"
@@ -107,10 +107,6 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise CliError(f"Invalid alpha = {args.alpha}")
-    if args.rows < 1:
-        raise CliError(f"Invalid rows = {args.rows}")
     decay = smoothing_weights(args.alpha, args.rows)
     split = initial_estimate_weights(args.alpha, args.rows)
     startup = startup_weights(args.alpha, args.rows)
@@ -124,22 +120,15 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _trace_series(args) -> list[int]:
-    if args.series == "step":
-        return [args.low if t < args.switch_at else args.high
-                for t in range(1, args.length + 1)]
-    return [args.intercept + args.slope * (t - 1) for t in range(1, args.length + 1)]
-
-
 def cmd_trace(args) -> int:
-    if args.length < 1:
-        raise CliError(f"Invalid length = {args.length}")
-    if args.model in ("single", "double") and not 0.0 < args.alpha < 1.0:
-        raise CliError(f"Invalid alpha = {args.alpha}")
-    if args.model == "ma" and args.window < 1:
-        raise CliError(f"Invalid window = {args.window}")
-
-    xs = _trace_series(args)
+    series = Scenario(
+        kind=args.series,
+        length=args.length,
+        level=args.low if args.series == "step" else args.intercept,
+        high=args.high,
+        switch_at=args.switch_at,
+        slope=args.slope,
+    )
     if args.model == "single":
         model = SingleExpSmoother(args.alpha)
     elif args.model == "double":
@@ -150,7 +139,8 @@ def cmd_trace(args) -> int:
     with_bias = args.model == "single" and args.series == "ramp"
     header = "t,observe,forecast" + (",bias" if with_bias else "")
     lines = [header]
-    for t, x in enumerate(xs, start=1):
+    for t in range(1, series.length + 1):
+        x = series.value_at(t)
         f = model.update(x)
         line = f"{t},{x},{f:.2f}"
         if with_bias:
@@ -174,53 +164,39 @@ def cmd_simulate(args) -> int:
                 values = tuple(v for _, v in read_pairs(fh.read()))
         except OSError:
             raise CliError(f"Error opening input file = {args.replay_file}")
-    try:
-        scenario = Scenario(
-            kind=args.kind,
-            length=args.length,
-            level=args.level,
-            high=args.high,
-            switch_at=args.switch_at,
-            slope=args.slope,
-            burst_len=args.burst_len,
-            values=values,
-            pause_after=args.pause_after,
-            pause_gap=args.pause_gap,
-            spacing=args.spacing,
-            jitter=args.jitter,
-            jitter_scale=args.jitter_scale,
-            seed=args.seed,
+    scenario = Scenario(
+        kind=args.kind,
+        length=args.length,
+        level=args.level,
+        high=args.high,
+        switch_at=args.switch_at,
+        slope=args.slope,
+        burst_len=args.burst_len,
+        values=values,
+        pause_after=args.pause_after,
+        pause_gap=args.pause_gap,
+        spacing=args.spacing,
+        jitter=args.jitter,
+        jitter_scale=args.jitter_scale,
+        seed=args.seed,
+    )
+    policy = None
+    if args.threshold is not None:
+        policy = GatePolicy(
+            threshold=args.threshold, mode=args.mode, delay_amount=args.delay_amount
         )
-        policy = None
-        if args.threshold is not None:
-            policy = GatePolicy(
-                threshold=args.threshold, mode=args.mode, delay_amount=args.delay_amount
-            )
-        if args.n_alpha < 1:
-            raise ValueError(f"n_alpha must be >= 1, got {args.n_alpha}")
-        if args.reset_interval < 0:
-            raise ValueError(f"reset_interval must be >= 0, got {args.reset_interval}")
-    except ValueError as err:
-        raise CliError(str(err))
-
     trace = run(
         scenario,
         n_alpha=args.n_alpha,
         reset_interval=args.reset_interval,
         policy=policy,
     )
-    csv_text = trace.to_csv()
+    _emit(args.output, trace.to_csv())
     if trace.stats is not None:
         summary = trace.stats.summary()
     else:
         summary = f"events={len(trace.rows)}"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(csv_text)
-        print(summary)
-    else:
-        sys.stdout.write(csv_text)
-        print(summary, file=sys.stderr)
+    print(summary, file=sys.stdout if args.output else sys.stderr)
     return 0
 
 
@@ -295,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pause-after", dest="pause_after", type=int, default=None)
     p.add_argument("--pause-gap", dest="pause_gap", type=int, default=0)
     p.add_argument("--spacing", type=int, default=1, help="seconds between events")
-    p.add_argument("--jitter", choices=("uniform", "exponential"), default=None)
+    p.add_argument("--jitter", choices=JITTER_KINDS, default=None)
     p.add_argument("--jitter-scale", dest="jitter_scale", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-alpha", dest="n_alpha", type=int, default=10)
@@ -314,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
+    except (CliError, ValueError) as err:
         print(err, file=sys.stderr)
         return 1
 

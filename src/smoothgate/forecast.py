@@ -27,10 +27,13 @@ __all__ = [
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"smoothing constant must satisfy 0 < alpha < 1, got {alpha}")
+        raise ValueError(f"Invalid alpha = {alpha}, must satisfy 0 < alpha < 1")
 
 
 def _check_finite(x: float) -> float:
+    """Return x as a float; str and bool observations are refused, not coerced."""
+    if isinstance(x, (str, bool)):
+        raise TypeError(f"observation must be a real number, got {type(x).__name__}")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"observation must be finite, got {x}")
@@ -53,11 +56,11 @@ class TrendForecast:
 
     a: float  # level estimate
     b: float  # slope estimate, per step
-    horizon: int = 1  # steps ahead the forecast targets
 
     @property
     def value(self) -> float:
-        return self.a + self.b * self.horizon
+        """One-step-ahead forecast."""
+        return self.a + self.b
 
 
 class SingleExpSmoother:
@@ -87,45 +90,6 @@ class SingleExpSmoother:
         return self.s
 
 
-class DoubleExpSmoother:
-    """Trend-model smoother that smooths the smoothed statistic again.
-
-        s1 = alpha*x  + (1 - alpha)*s1
-        s2 = alpha*s1 + (1 - alpha)*s2
-        forecast = a + b  with  a = 2*s1 - s2,  b = alpha/(1-alpha)*(s1 - s2)
-
-    Tracks a linear ramp without the steady-state lag the single smoother
-    develops.  Both statistics seed from the first observation unless an
-    initial estimate is supplied.
-    """
-
-    def __init__(self, alpha: float, initial: float | None = None):
-        _check_alpha(alpha)
-        self.alpha = alpha
-        self.s1 = None if initial is None else float(initial)
-        self.s2 = self.s1
-
-    def update(self, x: float) -> float:
-        x = _check_finite(x)
-        if self.s1 is None:
-            self.s1 = x
-            self.s2 = x
-        else:
-            self.s1 = self.alpha * x + (1.0 - self.alpha) * self.s1
-            self.s2 = self.alpha * self.s1 + (1.0 - self.alpha) * self.s2
-        return self.trend().value
-
-    def trend(self) -> TrendForecast:
-        if self.s1 is None:
-            raise UnprimedError("forecast read before any observation")
-        b = self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2)
-        return TrendForecast(a=2.0 * self.s1 - self.s2, b=b)
-
-    @property
-    def forecast(self) -> float:
-        return self.trend().value
-
-
 class FloatSmoother:
     """Hybrid forecaster: recursive-mean startup, then double smoothing.
 
@@ -143,7 +107,6 @@ class FloatSmoother:
         self.n = 0
         self.s1 = 0.0
         self.s2 = 0.0
-        self._primed = False
 
     def update(self, x: float) -> float:
         """Absorb one observation, dispatching on the startup boundary."""
@@ -162,7 +125,6 @@ class FloatSmoother:
         self.n += 1
         self.s1 = x / self.n + (1.0 - 1.0 / self.n) * self.s1
         self.s2 = self.s1
-        self._primed = True
         return self.s1
 
     def double_step(self, x: float) -> TrendForecast:
@@ -175,22 +137,43 @@ class FloatSmoother:
         x = _check_finite(x)
         self.s1 = self.alpha * x + (1.0 - self.alpha) * self.s1
         self.s2 = self.alpha * self.s1 + (1.0 - self.alpha) * self.s2
-        self._primed = True
         return self.trend()
 
     def trend(self) -> TrendForecast:
-        if not self._primed:
+        if self.n == 0:
             raise UnprimedError("forecast read before any observation")
         b = self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2)
         return TrendForecast(a=2.0 * self.s1 - self.s2, b=b)
 
     @property
     def forecast(self) -> float:
-        if not self._primed:
+        if self.n == 0:
             raise UnprimedError("forecast read before any observation")
         if self.n < self.n_alpha:
             return self.s1
         return self.trend().value
+
+
+class DoubleExpSmoother(FloatSmoother):
+    """Classic double exponential smoothing: ``FloatSmoother`` with a
+    one-observation startup.
+
+        s1 = alpha*x  + (1 - alpha)*s1
+        s2 = alpha*s1 + (1 - alpha)*s2
+        forecast = a + b  with  a = 2*s1 - s2,  b = alpha/(1-alpha)*(s1 - s2)
+
+    Tracks a linear ramp without the steady-state lag the single smoother
+    develops.  Both statistics seed from the first observation unless an
+    initial estimate is supplied, in which case the very first update
+    already smooths.
+    """
+
+    def __init__(self, alpha: float, initial: float | None = None):
+        super().__init__(alpha)
+        self.n_alpha = 1
+        if initial is not None:
+            self.n = 1
+            self.s1 = self.s2 = float(initial)
 
 
 class MovingAverage:

@@ -103,6 +103,9 @@ class IntSmoother:
         reset_interval: int = 5,
         clock: Callable[[], int] = system_seconds,
     ):
+        for name, value in (("n_alpha", n_alpha), ("reset_interval", reset_interval)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if n_alpha < 1:
             raise ValueError(f"n_alpha must be >= 1, got {n_alpha}")
         if reset_interval < 0:
@@ -115,7 +118,6 @@ class IntSmoother:
         self.s2 = 0
         self.last_update = 0
         self._ft = 0
-        self._primed = False
 
     def update(self, x: int) -> int:
         """Absorb one observation and return the new forecast.
@@ -145,13 +147,12 @@ class IntSmoother:
         self.s1 = s1
         self.s2 = s2
         self._ft = ft
-        self._primed = True
         return ft
 
     @property
     def forecast(self) -> int:
         """Most recent forecast; raises UnprimedError before the first update."""
-        if not self._primed:
+        if self.n == 0:
             raise UnprimedError("forecast read before any observation")
         return self._ft
 
@@ -160,7 +161,7 @@ class IntSmoother:
 
         During startup s2 == s1, so this collapses to (s1, 0).
         """
-        if not self._primed:
+        if self.n == 0:
             raise UnprimedError("trend read before any observation")
         a = 2 * self.s1 - self.s2
         b = cdiv(self.s1 - self.s2, self.n_alpha - 1) if self.n_alpha > 1 else 0

@@ -18,6 +18,7 @@ from .intsmooth import IntSmoother, ManualClock
 
 __all__ = [
     "GENERATOR_KINDS",
+    "JITTER_KINDS",
     "Scenario",
     "generate",
     "run",
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("constant", "step", "ramp", "burst", "replay")
-_JITTER_KINDS = ("uniform", "exponential")
+JITTER_KINDS = ("uniform", "exponential")
 
 _INT_RE = re.compile(r"[+-]?\d+")
 
@@ -99,8 +100,8 @@ class Scenario:
             if self.pause_gap < 0:
                 raise ValueError(f"pause_gap must be >= 0, got {self.pause_gap}")
         if self.jitter is not None:
-            if self.jitter not in _JITTER_KINDS:
-                raise ValueError(f"jitter must be one of {_JITTER_KINDS}, got {self.jitter!r}")
+            if self.jitter not in JITTER_KINDS:
+                raise ValueError(f"jitter must be one of {JITTER_KINDS}, got {self.jitter!r}")
             if self.jitter_scale < 1:
                 raise ValueError("jitter needs a positive jitter_scale")
         # Synthetic generators model response times, which are non-negative.
@@ -171,8 +172,6 @@ class SimTrace:
     """Per-event record of a scenario run, serializable as CSV."""
 
     rows: list[TraceRow]
-    n_alpha: int
-    reset_interval: int
     stats: GateStats | None = None
 
     def forecasts(self) -> list[int]:
@@ -196,10 +195,6 @@ class SimTrace:
                 line += f",{decision.verdict}"
             lines.append(line)
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def run(
@@ -237,7 +232,5 @@ def run(
                         level, slope, now, decision))
     return SimTrace(
         rows=rows,
-        n_alpha=n_alpha,
-        reset_interval=reset_interval,
         stats=gate.stats if gate is not None else None,
     )

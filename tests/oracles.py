@@ -63,6 +63,37 @@ def integer_trace(xs, n_alpha, *, event_times=None, reset_interval=5):
     return out
 
 
+def float_double_trace(xs, alpha, n_alpha, *, initial=None):
+    """Step-by-step evaluation of the float double-smoothing recurrences.
+
+    The first n_alpha observations form a recursive mean
+    (s1 = x/n + (1-1/n)*s1, s2 = s1, forecast s1); after that
+    s1 = alpha*x + (1-alpha)*s1, s2 = alpha*s1 + (1-alpha)*s2 and the
+    forecast is a + b.  With an initial estimate the startup is skipped and
+    both statistics start at it.  Each formula is written in the order its
+    textbook form evaluates, so results compare with ``==``.  Returns one
+    dict per observation with forecast, s1, s2, a and b.
+    """
+    n, s1, s2 = 0, 0.0, 0.0
+    if initial is not None:
+        n, s1, s2 = n_alpha, float(initial), float(initial)
+    out = []
+    for x in xs:
+        startup = n < n_alpha
+        if startup:
+            n += 1
+            s1 = x / n + (1.0 - 1.0 / n) * s1
+            s2 = s1
+        else:
+            s1 = alpha * x + (1.0 - alpha) * s1
+            s2 = alpha * s1 + (1.0 - alpha) * s2
+        a = 2.0 * s1 - s2
+        b = alpha / (1.0 - alpha) * (s1 - s2)
+        forecast = s1 if startup else a + b
+        out.append({"forecast": forecast, "s1": s1, "s2": s2, "a": a, "b": b})
+    return out
+
+
 def expansion_sum(alpha: float, xs, s0: float) -> float:
     """Direct weighted-sum form of iterated single exponential smoothing:
     sum of alpha*(1-alpha)**(t-i) * x_i plus (1-alpha)**t * s0."""

@@ -21,6 +21,22 @@ def parse_report_rows(stdout: str):
     return rows
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "--alpha", "0.1", "--rows", "0"],
+    ["trace", "--model", "ma", "--series", "ramp", "--window", "0"],
+    ["trace", "--model", "double", "--series", "step", "--length", "0"],
+    ["simulate", "--kind", "constant", "--n-alpha", "0"],
+    ["simulate", "--kind", "constant", "--reset-interval", "-1"],
+    ["trace", "--model", "single", "--series", "ramp", "--intercept", "-5"],
+    ["trace", "--model", "single", "--series", "step", "--switch-at", "0"],
+])
+def test_constructor_errors_exit_one_without_output(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
+
+
 class TestSmoothCommand:
     def test_default_run_is_byte_identical_to_the_fixture(self, capsys, data_dir):
         assert main(["smooth", str(data_dir / "canonical_input.txt")]) == 0

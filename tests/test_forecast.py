@@ -15,7 +15,7 @@ from smoothgate import (
     startup_weights,
 )
 
-from oracles import expansion_sum
+from oracles import expansion_sum, float_double_trace
 from tables import FLOAT_TABLE, RAMP_BIAS_LIMIT
 
 
@@ -101,7 +101,7 @@ class TestDoubleExpSmoother:
         for x in (10, 20, 30):
             m.update(x)
         tf = m.trend()
-        assert tf.value == tf.a + tf.b * tf.horizon
+        assert tf.value == tf.a + tf.b
 
 
 class TestFloatSmoother:
@@ -158,6 +158,67 @@ class TestFloatSmoother:
             m.forecast
         m.update(10)
         assert m.forecast == 10.0
+
+
+class TestStraightLineOracle:
+    @staticmethod
+    def _stream(rng):
+        xs = []
+        for _ in range(rng.randint(1, 40)):
+            roll = rng.random()
+            if roll < 0.2:
+                xs.append(rng.choice([0.0, -0.0]))
+            elif roll < 0.4:
+                xs.append(rng.randint(-1000, 1000))
+            else:
+                xs.append(rng.uniform(-1e6, 1e6))
+        return xs
+
+    @pytest.mark.parametrize("kind", ["float", "double", "double_initial"])
+    def test_every_update_equals_the_oracle(self, kind):
+        rng = random.Random(f"oracle-{kind}")
+        for _ in range(300):
+            alpha = rng.choice([rng.uniform(0.01, 0.99), 0.1, 0.2, 0.5, 0.6])
+            xs = self._stream(rng)
+            if kind == "float":
+                m = FloatSmoother(alpha)
+                expected = float_double_trace(xs, alpha, startup_length(alpha))
+            elif kind == "double":
+                m = DoubleExpSmoother(alpha)
+                expected = float_double_trace(xs, alpha, 1)
+            else:
+                initial = rng.choice([0.0, -0.0, rng.uniform(-1e3, 1e3)])
+                m = DoubleExpSmoother(alpha, initial=initial)
+                expected = float_double_trace(xs, alpha, 1, initial=initial)
+            for x, exp in zip(xs, expected):
+                got = m.update(x)
+                tf = m.trend()
+                assert (got, m.s1, m.s2, tf.a, tf.b) == (
+                    exp["forecast"], exp["s1"], exp["s2"], exp["a"], exp["b"]
+                ), (alpha, xs)
+
+
+class TestObservationTypes:
+    MODELS = {
+        "single": lambda: SingleExpSmoother(0.2),
+        "double": lambda: DoubleExpSmoother(0.2),
+        "float": lambda: FloatSmoother(0.2),
+        "ma": lambda: MovingAverage(3),
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("x", ["7", True, False])
+    def test_str_and_bool_are_refused(self, model, x):
+        m = self.MODELS[model]()
+        with pytest.raises(TypeError):
+            m.update(x)
+        with pytest.raises(UnprimedError):
+            m.forecast  # the rejected value left no trace
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("x", [7, 7.0])
+    def test_int_and_float_are_accepted(self, model, x):
+        assert self.MODELS[model]().update(x) == 7.0
 
 
 class TestMovingAverage:

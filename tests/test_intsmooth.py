@@ -157,6 +157,12 @@ class TestContracts:
         with pytest.raises(ValueError):
             IntSmoother(reset_interval=-1)
 
+    @pytest.mark.parametrize("field", ["n_alpha", "reset_interval"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", True, None])
+    def test_constructor_rejects_non_int_parameters(self, field, value):
+        with pytest.raises(TypeError):
+            IntSmoother(**{field: value}, clock=ManualClock(0))
+
     @pytest.mark.parametrize("x", ["5", 3.9, 5.0, True, False, None])
     def test_update_rejects_non_int_observations(self, x):
         sm = IntSmoother(clock=ManualClock(0))

@@ -203,12 +203,6 @@ class TestTraceSerialization:
         assert lines[0].endswith(",decision")
         assert lines[1].endswith(",deny")
 
-    def test_csv_roundtrips_through_a_file(self, tmp_path):
-        trace = run(Scenario(kind="constant", length=3, level=8))
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        assert path.read_text() == trace.to_csv()
-
 
 class TestReadPairs:
     def test_parses_count_value_lines(self):
