@@ -6,75 +6,15 @@ latency-threshold admission gate, and a workload simulator that exercises
 the loop under step, ramp, burst, and pause/resume traffic.
 """
 
-from .errors import UnprimedError
-from .forecast import (
-    DoubleExpSmoother,
-    FloatSmoother,
-    MovingAverage,
-    SingleExpSmoother,
-    TrendForecast,
-    initial_estimate_weights,
-    smoothing_weights,
-    startup_length,
-    startup_weights,
-)
-from .gate import (
-    ADMIT,
-    DELAY,
-    DENY,
-    IN_PROGRESS,
-    NEW_SESSION,
-    CongestionGate,
-    GateDecision,
-    GatePolicy,
-    GateStats,
-    decide,
-)
-from .intsmooth import (
-    INT32_MAX,
-    INT32_MIN,
-    IntSmoother,
-    ManualClock,
-    cdiv,
-    clamp_observation,
-    system_seconds,
-)
-from .sim import Scenario, SimTrace, TraceRow, generate, read_pairs, run
+from . import errors, forecast, gate, intsmooth, sim
+from .errors import *  # noqa: F401,F403
+from .forecast import *  # noqa: F401,F403
+from .gate import *  # noqa: F401,F403
+from .intsmooth import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "UnprimedError",
-    "TrendForecast",
-    "SingleExpSmoother",
-    "DoubleExpSmoother",
-    "FloatSmoother",
-    "MovingAverage",
-    "startup_length",
-    "smoothing_weights",
-    "initial_estimate_weights",
-    "startup_weights",
-    "INT32_MAX",
-    "INT32_MIN",
-    "cdiv",
-    "clamp_observation",
-    "system_seconds",
-    "ManualClock",
-    "IntSmoother",
-    "NEW_SESSION",
-    "IN_PROGRESS",
-    "ADMIT",
-    "DENY",
-    "DELAY",
-    "GatePolicy",
-    "GateDecision",
-    "GateStats",
-    "decide",
-    "CongestionGate",
-    "Scenario",
-    "TraceRow",
-    "SimTrace",
-    "generate",
-    "run",
-    "read_pairs",
+    name for module in (errors, forecast, intsmooth, gate, sim) for name in module.__all__
 ]

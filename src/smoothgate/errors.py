@@ -1,2 +1,5 @@
+__all__ = ["UnprimedError"]
+
+
 class UnprimedError(RuntimeError):
     """A forecast was read before any observation had been absorbed."""

@@ -8,12 +8,10 @@ production twin lives in ``intsmooth``.
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import UnprimedError
 
 __all__ = [
-    "TrendForecast",
     "SingleExpSmoother",
     "DoubleExpSmoother",
     "FloatSmoother",
@@ -30,14 +28,20 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"Invalid alpha = {alpha}, must satisfy 0 < alpha < 1")
 
 
-def _check_finite(x: float) -> float:
-    """Return x as a float; str and bool observations are refused, not coerced."""
+def _check_finite(x: float, name: str = "observation") -> float:
+    """Return x as a float; str and bool values are refused, not coerced."""
     if isinstance(x, (str, bool)):
-        raise TypeError(f"observation must be a real number, got {type(x).__name__}")
+        raise TypeError(f"{name} must be a real number, got {type(x).__name__}")
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"observation must be finite, got {x}")
+        raise ValueError(f"{name} must be finite, got {x}")
     return x
+
+
+def _check_schedule(alpha: float, rows: int) -> None:
+    _check_alpha(alpha)
+    if rows < 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
 
 
 def startup_length(alpha: float) -> int:
@@ -50,19 +54,6 @@ def startup_length(alpha: float) -> int:
     return math.floor(1.0 / alpha + 1e-9)
 
 
-@dataclass(frozen=True)
-class TrendForecast:
-    """Level/slope pair produced by a trend-aware smoother."""
-
-    a: float  # level estimate
-    b: float  # slope estimate, per step
-
-    @property
-    def value(self) -> float:
-        """One-step-ahead forecast."""
-        return self.a + self.b
-
-
 class SingleExpSmoother:
     """Constant-model smoother: s = alpha*x + (1 - alpha)*s.
 
@@ -73,7 +64,7 @@ class SingleExpSmoother:
     def __init__(self, alpha: float, initial: float | None = None):
         _check_alpha(alpha)
         self.alpha = alpha
-        self.s = None if initial is None else float(initial)
+        self.s = None if initial is None else _check_finite(initial, "initial")
 
     def update(self, x: float) -> float:
         x = _check_finite(x)
@@ -96,8 +87,15 @@ class FloatSmoother:
     The first floor(1/alpha) observations are absorbed as a running
     arithmetic mean (s = x/n + (1 - 1/n)*s), which removes the initial-
     estimate bias; after that the double-smoothing recurrences take over,
-    with the second statistic seeded from the first at the handover.
-    This is the real-arithmetic twin of ``intsmooth.IntSmoother``.
+    with the second statistic seeded from the first at the handover:
+
+        s1 = alpha*x  + (1 - alpha)*s1
+        s2 = alpha*s1 + (1 - alpha)*s2
+        forecast = a + b  with  a = 2*s1 - s2,  b = alpha/(1-alpha)*(s1 - s2)
+
+    This is the real-arithmetic twin of ``intsmooth.IntSmoother``.  The
+    forecast is kept as returned: after a startup step it is the mean, which
+    2*s1 - s2 would overflow for means above half the float range.
     """
 
     def __init__(self, alpha: float):
@@ -107,65 +105,47 @@ class FloatSmoother:
         self.n = 0
         self.s1 = 0.0
         self.s2 = 0.0
+        self._forecast = 0.0
 
     def update(self, x: float) -> float:
-        """Absorb one observation, dispatching on the startup boundary."""
-        if self.n < self.n_alpha:
-            return self.startup_step(x)
-        return self.double_step(x).value
-
-    def startup_step(self, x: float) -> float:
-        """One recursive-mean step; forecast equals the mean of all inputs so far.
-
-        Raises AssertionError once startup is complete (also under -O).
-        """
-        if self.n >= self.n_alpha:
-            raise AssertionError("startup already complete")
+        """Absorb one observation and return the new forecast."""
         x = _check_finite(x)
-        self.n += 1
-        self.s1 = x / self.n + (1.0 - 1.0 / self.n) * self.s1
-        self.s2 = self.s1
-        return self.s1
+        n = self.n
+        if n < self.n_alpha:
+            n += 1
+            self.n = n
+            self.s1 = self.s2 = f = x / n + (1.0 - 1.0 / n) * self.s1
+        else:
+            alpha = self.alpha
+            self.s1 = alpha * x + (1.0 - alpha) * self.s1
+            self.s2 = alpha * self.s1 + (1.0 - alpha) * self.s2
+            a, b = self.trend()
+            f = a + b
+        self._forecast = f
+        return f
 
-    def double_step(self, x: float) -> TrendForecast:
-        """One double-smoothing step; only valid once startup is complete.
-
-        Raises AssertionError before then (also under -O).
-        """
-        if self.n < self.n_alpha:
-            raise AssertionError("startup incomplete")
-        x = _check_finite(x)
-        self.s1 = self.alpha * x + (1.0 - self.alpha) * self.s1
-        self.s2 = self.alpha * self.s1 + (1.0 - self.alpha) * self.s2
-        return self.trend()
-
-    def trend(self) -> TrendForecast:
+    def trend(self) -> tuple[float, float]:
+        """Current (level, slope) pair; during startup s2 == s1, so the slope is 0."""
         if self.n == 0:
-            raise UnprimedError("forecast read before any observation")
-        b = self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2)
-        return TrendForecast(a=2.0 * self.s1 - self.s2, b=b)
+            raise UnprimedError("trend read before any observation")
+        return 2.0 * self.s1 - self.s2, self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2)
 
     @property
     def forecast(self) -> float:
+        """Most recent forecast; raises UnprimedError before the first update."""
         if self.n == 0:
             raise UnprimedError("forecast read before any observation")
-        if self.n < self.n_alpha:
-            return self.s1
-        return self.trend().value
+        return self._forecast
 
 
 class DoubleExpSmoother(FloatSmoother):
     """Classic double exponential smoothing: ``FloatSmoother`` with a
     one-observation startup.
 
-        s1 = alpha*x  + (1 - alpha)*s1
-        s2 = alpha*s1 + (1 - alpha)*s2
-        forecast = a + b  with  a = 2*s1 - s2,  b = alpha/(1-alpha)*(s1 - s2)
-
     Tracks a linear ramp without the steady-state lag the single smoother
     develops.  Both statistics seed from the first observation unless an
     initial estimate is supplied, in which case the very first update
-    already smooths.
+    already smooths and the forecast reads the estimate until then.
     """
 
     def __init__(self, alpha: float, initial: float | None = None):
@@ -173,7 +153,7 @@ class DoubleExpSmoother(FloatSmoother):
         self.n_alpha = 1
         if initial is not None:
             self.n = 1
-            self.s1 = self.s2 = float(initial)
+            self.s1 = self.s2 = self._forecast = _check_finite(initial, "initial")
 
 
 class MovingAverage:
@@ -188,7 +168,7 @@ class MovingAverage:
 
     def update(self, x: float) -> float:
         self._buf.append(_check_finite(x))
-        return math.fsum(self._buf) / len(self._buf)
+        return self.forecast
 
     @property
     def forecast(self) -> float:
@@ -203,9 +183,7 @@ class MovingAverage:
 def smoothing_weights(alpha: float, k: int) -> list[float]:
     """Weights the smoother gives the k most recent observations, newest
     first: alpha, alpha*(1-alpha), ..., alpha*(1-alpha)**(k-1)."""
-    _check_alpha(alpha)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_schedule(alpha, k)
     return [alpha * (1.0 - alpha) ** i for i in range(k)]
 
 
@@ -213,9 +191,7 @@ def initial_estimate_weights(alpha: float, k: int) -> list[tuple[float, float]]:
     """Rows (cumulative data weight, initial-estimate weight) after i = 1..k
     observations.  Each row sums to 1: the data carry 1 - (1-alpha)**i and
     the initial estimate keeps the remaining (1-alpha)**i."""
-    _check_alpha(alpha)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_schedule(alpha, k)
     rows = []
     for i in range(1, k + 1):
         w0 = (1.0 - alpha) ** i
@@ -227,9 +203,7 @@ def startup_weights(alpha: float, k: int) -> list[float]:
     """Weight the first observation carries after i = 1..k updates under the
     recursive-mean startup: 1, 1/2, ..., 1/n_a, then decaying as
     (1/n_a)*(1-alpha)**(i-n_a) once ongoing smoothing takes over."""
-    _check_alpha(alpha)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_schedule(alpha, k)
     n_a = startup_length(alpha)
     out = []
     for i in range(1, k + 1):

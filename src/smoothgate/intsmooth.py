@@ -86,7 +86,8 @@ class IntSmoother:
 
         s1 = (x  + (n_alpha-1)*s1) / n_alpha
         s2 = (s1 + (n_alpha-1)*s2) / n_alpha
-        ft = 2*s1 - s2 + (s1 - s2)/(n_alpha-1)      # ft = s1 when n_alpha == 1
+        b  = (s1 - s2)/(n_alpha-1)                   # b = 0 when n_alpha == 1
+        ft = 2*s1 - s2 + b
 
     If more than ``reset_interval`` seconds pass between updates the sample
     count drops back to zero, so the next observation restarts the mean and
@@ -117,7 +118,7 @@ class IntSmoother:
         self.s1 = 0
         self.s2 = 0
         self.last_update = 0
-        self._ft = 0
+        self.b = 0  # slope; 0 during startup and when n_alpha == 1
 
     def update(self, x: int) -> int:
         """Absorb one observation and return the new forecast.
@@ -138,23 +139,24 @@ class IntSmoother:
         if n < n_alpha:
             n += 1
             self.n = n
-            s1 = s2 = ft = cdiv(x + (n - 1) * self.s1, n)
+            s1 = s2 = cdiv(x + (n - 1) * self.s1, n)
+            b = 0
         else:
             m = n_alpha - 1
             s1 = cdiv(x + m * self.s1, n_alpha)
             s2 = cdiv(s1 + m * self.s2, n_alpha)
-            ft = 2 * s1 - s2 + cdiv(s1 - s2, m) if m else s1
+            b = cdiv(s1 - s2, m) if m else 0
         self.s1 = s1
         self.s2 = s2
-        self._ft = ft
-        return ft
+        self.b = b
+        return 2 * s1 - s2 + b
 
     @property
     def forecast(self) -> int:
         """Most recent forecast; raises UnprimedError before the first update."""
         if self.n == 0:
             raise UnprimedError("forecast read before any observation")
-        return self._ft
+        return 2 * self.s1 - self.s2 + self.b
 
     def trend(self) -> tuple[int, int]:
         """Current (level, slope) integer pair; slope is 0 when n_alpha == 1.
@@ -163,6 +165,4 @@ class IntSmoother:
         """
         if self.n == 0:
             raise UnprimedError("trend read before any observation")
-        a = 2 * self.s1 - self.s2
-        b = cdiv(self.s1 - self.s2, self.n_alpha - 1) if self.n_alpha > 1 else 0
-        return a, b
+        return 2 * self.s1 - self.s2, self.b

@@ -203,7 +203,6 @@ def run(
     n_alpha: int = 10,
     reset_interval: int = 5,
     policy: GatePolicy | None = None,
-    start_time: int = 0,
 ) -> SimTrace:
     """Drive an integer smoother (and optional gate) through a scenario.
 
@@ -213,14 +212,14 @@ def run(
     prospective new session judged against the post-update forecast.
     """
     events = generate(scenario)
-    clock = ManualClock(start_time)
+    clock = ManualClock()
     smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_interval, clock=clock)
     gate = CongestionGate(smoother, policy) if policy is not None else None
     rows = []
     append = rows.append
     trend = smoother.trend
-    for t, (offset, x) in enumerate(events, start=1):
-        clock.now = now = start_time + offset
+    for t, (now, x) in enumerate(events, start=1):
+        clock.now = now
         if gate is not None:
             decision = gate.observe_and_decide(x)
             forecast = decision.forecast_at_decision

@@ -25,10 +25,11 @@ def clamp(x: int, n_alpha: int) -> int:
 def integer_trace(xs, n_alpha, *, event_times=None, reset_interval=5):
     """Step-by-step evaluation of the integer recurrences.
 
-    Returns one dict per observation with the state fields and every
-    intermediate quantity the production arithmetic forms (products,
-    dividends, the doubled level, the slope, the final sum), so overflow
-    checks can inspect them.
+    Returns one dict per observation with the state fields, the slope b
+    (0 during startup and when n_alpha == 1) and every intermediate
+    quantity the production arithmetic forms (products, dividends, the
+    doubled level, the slope, the final sum), so overflow checks can
+    inspect them.
     """
     n = s1 = s2 = ft = 0
     last = 0
@@ -47,6 +48,7 @@ def integer_trace(xs, n_alpha, *, event_times=None, reset_interval=5):
             s1 = trunc_div(x + (n - 1) * s1, n)
             s2 = s1
             ft = s1
+            b = 0
         else:
             inter += [(n_alpha - 1) * s1, x + (n_alpha - 1) * s1]
             s1 = trunc_div(x + (n_alpha - 1) * s1, n_alpha)
@@ -57,9 +59,10 @@ def integer_trace(xs, n_alpha, *, event_times=None, reset_interval=5):
                 inter += [2 * s1, 2 * s1 - s2, b]
                 ft = 2 * s1 - s2 + b
             else:
+                b = 0
                 ft = s1
         inter += [s1, s2, ft]
-        out.append({"n": n, "s1": s1, "s2": s2, "ft": ft, "intermediates": inter})
+        out.append({"n": n, "s1": s1, "s2": s2, "b": b, "ft": ft, "intermediates": inter})
     return out
 
 

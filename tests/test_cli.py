@@ -168,6 +168,12 @@ class TestWeightsCommand:
         assert main(["weights", "--alpha", "1.5"]) == 1
         assert "Invalid alpha = 1.5" in capsys.readouterr().err
 
+    def test_zero_rows_names_the_option(self, capsys):
+        assert main(["weights", "--alpha", "0.1", "--rows", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rows must be >= 1, got 0\n"
+
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "weights.csv"
         main(["weights", "--alpha", "0.10", "--output", str(out)])

@@ -59,14 +59,14 @@ class TestSingleExpSmoother:
 class TestStartupPhase:
     def test_first_observation_is_the_forecast(self):
         m = FloatSmoother(0.10)
-        assert m.startup_step(571) == 571.0
+        assert m.update(571) == 571.0
         assert m.n == 1
 
     def test_startup_forecast_is_the_running_mean(self):
         m = FloatSmoother(0.10)
         xs = (571, 565, 564)
         for x in xs:
-            got = m.startup_step(x)
+            got = m.update(x)
         assert got == pytest.approx(566.6666666666666, abs=1e-12)
 
     def test_constant_startup_stays_at_the_constant(self):
@@ -91,17 +91,17 @@ class TestDoubleExpSmoother:
     def test_converged_state_has_zero_slope(self):
         m = DoubleExpSmoother(0.3, initial=250.0)
         m.update(250.0)
-        tf = m.trend()
-        assert tf.a == pytest.approx(250.0, rel=1e-14)
-        assert tf.b == pytest.approx(0.0, abs=1e-12)
-        assert tf.value == pytest.approx(250.0, rel=1e-14)
+        a, b = m.trend()
+        assert a == pytest.approx(250.0, rel=1e-14)
+        assert b == pytest.approx(0.0, abs=1e-12)
+        assert m.forecast == pytest.approx(250.0, rel=1e-14)
 
     def test_trend_value_is_level_plus_slope(self):
         m = DoubleExpSmoother(0.2, initial=0.0)
         for x in (10, 20, 30):
             m.update(x)
-        tf = m.trend()
-        assert tf.value == tf.a + tf.b
+        a, b = m.trend()
+        assert m.forecast == a + b
 
 
 class TestFloatSmoother:
@@ -120,44 +120,19 @@ class TestFloatSmoother:
         m.update(8.0)  # startup complete at n_alpha=2, s2 seeded with s1
         assert m.s2 == m.s1
 
-    def test_double_step_requires_completed_startup(self):
-        m = FloatSmoother(0.2)
-        with pytest.raises(AssertionError):
-            m.double_step(1.0)
-
-    def test_step_contracts_hold_under_optimize(self):
-        # python -O strips assert statements; the phase checks must survive.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import smoothgate
-
-        script = (
-            "from smoothgate import FloatSmoother\n"
-            "for step, primed in (('double_step', 0), ('startup_step', 5)):\n"
-            "    m = FloatSmoother(0.2)\n"
-            "    for _ in range(primed):\n"
-            "        m.update(1.0)\n"
-            "    try:\n"
-            "        getattr(m, step)(10.0)\n"
-            "    except AssertionError:\n"
-            "        print(step, 'refused', m.n, m.s1)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(smoothgate.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["double_step refused 0 0.0",
-                                            "startup_step refused 5 1.0"]
-
     def test_forecast_property_tracks_last_update(self):
         m = FloatSmoother(0.2)
         with pytest.raises(UnprimedError):
             m.forecast
         m.update(10)
         assert m.forecast == 10.0
+
+    def test_forecast_after_the_last_startup_step_is_the_returned_mean(self):
+        # 2*s1 - s2 overflows here although the mean itself is finite.
+        m = FloatSmoother(0.5)
+        assert [m.update(1e308), m.update(1e308)] == [1e308, 1e308]
+        assert m.n == m.n_alpha
+        assert m.forecast == 1e308
 
 
 class TestStraightLineOracle:
@@ -192,10 +167,11 @@ class TestStraightLineOracle:
                 expected = float_double_trace(xs, alpha, 1, initial=initial)
             for x, exp in zip(xs, expected):
                 got = m.update(x)
-                tf = m.trend()
-                assert (got, m.s1, m.s2, tf.a, tf.b) == (
+                a, b = m.trend()
+                assert (got, m.s1, m.s2, a, b) == (
                     exp["forecast"], exp["s1"], exp["s2"], exp["a"], exp["b"]
                 ), (alpha, xs)
+                assert m.forecast == got, (alpha, xs)
 
 
 class TestObservationTypes:
@@ -219,6 +195,32 @@ class TestObservationTypes:
     @pytest.mark.parametrize("x", [7, 7.0])
     def test_int_and_float_are_accepted(self, model, x):
         assert self.MODELS[model]().update(x) == 7.0
+
+
+class TestInitialEstimate:
+    SEEDED = {
+        "single": SingleExpSmoother,
+        "double": DoubleExpSmoother,
+    }
+
+    @pytest.mark.parametrize("model", SEEDED)
+    @pytest.mark.parametrize("initial", ["7", True, False])
+    def test_str_and_bool_are_refused(self, model, initial):
+        with pytest.raises(TypeError, match="initial must be a real number"):
+            self.SEEDED[model](0.2, initial=initial)
+
+    @pytest.mark.parametrize("model", SEEDED)
+    @pytest.mark.parametrize("initial", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_is_refused(self, model, initial):
+        with pytest.raises(ValueError, match="initial must be finite"):
+            self.SEEDED[model](0.2, initial=initial)
+
+    @pytest.mark.parametrize("model", SEEDED)
+    @pytest.mark.parametrize("initial", [7, 7.0, 1e308, -1e308])
+    def test_int_and_float_are_the_forecast_before_any_update(self, model, initial):
+        # 2*s1 - s2 would overflow for the two largest estimates.
+        forecast = self.SEEDED[model](0.2, initial=initial).forecast
+        assert forecast == initial and type(forecast) is float
 
 
 class TestMovingAverage:

@@ -57,7 +57,7 @@ def test_float_models_settle_on_constant_input(alpha, c):
         h = hybrid.update(c)
     assert math.isclose(s, c, rel_tol=1e-12, abs_tol=1e-9)
     assert math.isclose(h, c, rel_tol=1e-12, abs_tol=1e-9)
-    assert abs(hybrid.trend().b) <= max(1e-9, abs(c) * 1e-12)
+    assert abs(hybrid.trend()[1]) <= max(1e-9, abs(c) * 1e-12)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=-10**6, max_value=10**6))
@@ -192,6 +192,8 @@ def test_library_matches_the_oracle_on_signed_streams_with_resets():
             clock.now = gclock.now = when
             ft = sm.update(x)
             assert (sm.n, sm.s1, sm.s2, ft) == (exp["n"], exp["s1"], exp["s2"], exp["ft"]), where
+            assert sm.forecast == exp["ft"], where
+            assert sm.trend() == (2 * exp["s1"] - exp["s2"], exp["b"]), where
             d = gate.observe_and_decide(x, kind)
             g = gate.smoother
             assert (g.n, g.s1, g.s2, d.forecast_at_decision) == (sm.n, sm.s1, sm.s2, ft), where
