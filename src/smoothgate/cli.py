@@ -29,6 +29,10 @@ SMOOTH_TITLE = "-----Time Series Smoothing Algorithm-----"
 SMOOTH_COLUMNS = "_____count_____observe_____forecast_____diff_____diffsum"
 CSV_TITLE = "Time Series Smoothing Algorithm"
 CSV_COLUMNS = "count,observe,forecast,diff,diffsum,n,stx1,stx2"
+# %-formatting is cheaper per row than f-strings and renders the same text:
+# "%10d" equals "{:10d}" and "%s" equals "{}" for every int.
+SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
+CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
 
 
 class CliError(Exception):
@@ -84,18 +88,19 @@ def cmd_smooth(args) -> int:
         pause = time.sleep
 
     smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_time, clock=clock)
+    update = smoother.update
+    write = out.write
+    csv_write = csv_file.write if csv_file else None
     diffsum = 0
     try:
         for count, xt in records:
-            ft = smoother.update(xt)
+            ft = update(xt)
             diff = xt - ft
             diffsum += diff
-            out.write(f"{count:10d}{xt:10d}{ft:10d}{diff:10d}{diffsum:10d}\n")
-            if csv_file:
-                csv_file.write(
-                    f"{count},{xt},{ft},{diff},{diffsum},"
-                    f"{smoother.n},{smoother.s1},{smoother.s2}\n"
-                )
+            write(SMOOTH_ROW % (count, xt, ft, diff, diffsum))
+            if csv_write:
+                csv_write(CSV_ROW % (count, xt, ft, diff, diffsum,
+                                     smoother.n, smoother.s1, smoother.s2))
             # The reset path: go idle for longer than the reset interval
             # right after the flagged record, so the next one restarts.
             if reset_count and count == reset_count:

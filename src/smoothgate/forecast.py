@@ -7,6 +7,7 @@ production twin lives in ``intsmooth``.
 """
 
 import math
+import sys
 from collections import deque
 
 from .errors import UnprimedError
@@ -23,6 +24,9 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"Invalid alpha = {alpha}, must satisfy 0 < alpha < 1")
@@ -36,6 +40,17 @@ def _check_finite(x: float, name: str = "observation") -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
+
+
+def _saturate(v: float) -> float:
+    """Return v, or the largest finite float of its sign when v is infinite:
+    a convex combination of finite values can round past the float range
+    although its exact value lies inside it."""
+    if v > _FLOAT_MAX:
+        return _FLOAT_MAX
+    if v < -_FLOAT_MAX:
+        return -_FLOAT_MAX
+    return v
 
 
 def _check_schedule(alpha: float, rows: int) -> None:
@@ -96,6 +111,12 @@ class FloatSmoother:
     This is the real-arithmetic twin of ``intsmooth.IntSmoother``.  The
     forecast is kept as returned: after a startup step it is the mean, which
     2*s1 - s2 would overflow for means above half the float range.
+
+    For a finite stream s1 and s2 stay finite: a running mean or convex
+    update that rounds past the float range is saturated to the largest
+    finite float of its sign.  The extrapolated forecast a + b and the
+    ``trend()`` pair can still leave the float range once the level or
+    slope exceeds it.
     """
 
     def __init__(self, alpha: float):
@@ -114,11 +135,11 @@ class FloatSmoother:
         if n < self.n_alpha:
             n += 1
             self.n = n
-            self.s1 = self.s2 = f = x / n + (1.0 - 1.0 / n) * self.s1
+            self.s1 = self.s2 = f = _saturate(x / n + (1.0 - 1.0 / n) * self.s1)
         else:
             alpha = self.alpha
-            self.s1 = alpha * x + (1.0 - alpha) * self.s1
-            self.s2 = alpha * self.s1 + (1.0 - alpha) * self.s2
+            self.s1 = _saturate(alpha * x + (1.0 - alpha) * self.s1)
+            self.s2 = _saturate(alpha * self.s1 + (1.0 - alpha) * self.s2)
             a, b = self.trend()
             f = a + b
         self._forecast = f

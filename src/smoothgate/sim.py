@@ -36,9 +36,22 @@ _INT_RE = re.compile(r"[+-]?\d+")
 def read_pairs(text: str) -> list[tuple[int, int]]:
     """Parse whitespace-separated "<count> <value>" integer pairs.
 
-    Parsing stops at the first token that is not a plain integer, and an
-    unpaired trailing integer is dropped, mirroring a read-until-EOF loop.
+    A token is an integer when it is an optional ``+`` or ``-`` followed by
+    one or more decimal digits (Unicode decimal digits included); a token
+    with an underscore, such as ``1_000``, is not.  Parsing stops at the
+    first token that is not an integer, and an unpaired trailing integer is
+    dropped, mirroring a read-until-EOF loop.  A literal longer than the
+    interpreter's int-digit limit raises ValueError.
     """
+    # Outside underscores, int() accepts exactly the tokens the pattern
+    # does, so a text that converts whole gives the same pairs; any other
+    # text takes the token-by-token loop, which finds where parsing stops.
+    if "_" not in text:
+        it = map(int, text.split())
+        try:
+            return list(zip(it, it))
+        except ValueError:
+            pass
     ints = []
     for tok in text.split():
         if not _INT_RE.fullmatch(tok):
@@ -152,6 +165,11 @@ def generate(scenario: Scenario) -> list[tuple[int, int]]:
     return events
 
 
+# ``%s`` renders every value as str() does, as ``f"{value}"`` would.
+_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+_GATED_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+
+
 class TraceRow(NamedTuple):
     """State of the smoother (and the verdict, when gated) after event t."""
 
@@ -184,17 +202,19 @@ class SimTrace:
         header = "count,observe,forecast,diff,diffsum,n,stx1,stx2,at,bt"
         if gated:
             header += ",decision"
-        lines = [header]
+        lines = [header + "\n"]
+        append = lines.append
         diffsum = 0
         # Unpacking a row is cheaper than reading its fields by name.
         for t, observe, forecast, n, s1, s2, a, b, _clock, decision in self.rows:
             diff = observe - forecast
             diffsum += diff
-            line = f"{t},{observe},{forecast},{diff},{diffsum},{n},{s1},{s2},{a},{b}"
             if gated:
-                line += f",{decision.verdict}"
-            lines.append(line)
-        return "\n".join(lines) + "\n"
+                append(_GATED_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b,
+                                     decision.verdict))
+            else:
+                append(_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b))
+        return "".join(lines)
 
 
 def run(

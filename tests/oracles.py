@@ -6,10 +6,27 @@ different from the library's.
 """
 
 import math
+import re
 from fractions import Fraction
 
 INT32_MAX = 2**31 - 1
 INT32_MIN = -(2**31)
+
+
+_INT_TOKEN = re.compile(r"[+-]?\d+")
+
+
+def read_pairs_reference(text: str) -> list[tuple[int, int]]:
+    """Token-by-token "<count> <value>" parser: each whitespace-separated
+    token must fully match an optional sign and decimal digits; the first
+    one that does not ends the read, and an unpaired last integer is
+    dropped."""
+    ints = []
+    for tok in text.split():
+        if not _INT_TOKEN.fullmatch(tok):
+            break
+        ints.append(int(tok))
+    return [(ints[i], ints[i + 1]) for i in range(0, len(ints) - 1, 2)]
 
 
 def trunc_div(a: int, b: int) -> int:

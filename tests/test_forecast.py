@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -133,6 +134,53 @@ class TestFloatSmoother:
         assert [m.update(1e308), m.update(1e308)] == [1e308, 1e308]
         assert m.n == m.n_alpha
         assert m.forecast == 1e308
+
+
+class TestFiniteStatistics:
+    """s1 and s2 stay finite for finite streams near the float range, and
+    every value the plain recurrence keeps finite is unchanged."""
+
+    ALPHAS = [0.1, 0.2, 0.25, 1 / 3, 0.5]
+    BIG = sys.float_info.max
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_constant_extreme_stream(self, alpha, sign):
+        # FloatSmoother(0.25) fed this stream used to return
+        # max, max, inf, inf, nan: the running mean rounded past the range.
+        m = FloatSmoother(alpha)
+        x = sign * self.BIG
+        for _ in range(3 * m.n_alpha + 5):
+            m.update(x)
+            assert m.s1 == pytest.approx(x, rel=1e-15)
+            assert m.s2 == pytest.approx(x, rel=1e-15)
+        assert not math.isnan(sum(m.trend()))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("startup", ["float", "double"])
+    def test_statistics_stay_finite_and_match_the_oracle_until_it_overflows(
+            self, alpha, startup):
+        rng = random.Random(f"finite-{alpha}-{startup}")
+        big = self.BIG
+        for _ in range(200):
+            xs = [rng.choice([big, -big, big / 2, 1e308, -1e308, 0.0,
+                              rng.uniform(-1.0, 1.0) * big, rng.uniform(0.9, 1.0) * big])
+                  for _ in range(rng.randint(1, 30))]
+            if startup == "float":
+                m, n_alpha = FloatSmoother(alpha), startup_length(alpha)
+            else:
+                m, n_alpha = DoubleExpSmoother(alpha), 1
+            oracle_finite = True
+            for x, exp in zip(xs, float_double_trace(xs, alpha, n_alpha)):
+                got = m.update(x)
+                assert math.isfinite(m.s1) and math.isfinite(m.s2), (alpha, xs)
+                oracle_finite = (oracle_finite and math.isfinite(exp["s1"])
+                                 and math.isfinite(exp["s2"]))
+                if oracle_finite:
+                    a, b = m.trend()
+                    assert [v.hex() for v in (got, m.s1, m.s2, a, b)] == [
+                        exp[k].hex() for k in ("forecast", "s1", "s2", "a", "b")
+                    ], (alpha, xs)
 
 
 class TestStraightLineOracle:

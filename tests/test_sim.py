@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smoothgate import (
     ADMIT,
@@ -14,6 +16,7 @@ from smoothgate import (
     run,
 )
 
+from oracles import read_pairs_reference
 from tables import CANONICAL_TRACE, CANONICAL_VALUES, FLOAT_TABLE, RESET_TRACE
 
 
@@ -216,3 +219,45 @@ class TestReadPairs:
 
     def test_accepts_signs_and_arbitrary_whitespace(self):
         assert read_pairs(" 1\t-5\n\n2   +7 ") == [(1, -5), (2, 7)]
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_ASCII_INTS = st.builds(lambda sign, v: sign + str(v), _SIGNS, st.integers(0, 10**15))
+_UNICODE_INTS = st.builds(
+    lambda sign, digits: sign + digits,
+    _SIGNS,
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=8),
+)
+_UNDERSCORED = st.sampled_from(["1_000", "-2_5", "+1_0_0", "_1", "1_", "1__0", "_"])
+_ODD_TOKENS = st.sampled_from(
+    ["+", "-", "9" * 4400, "-" + "7" * 4400, "x", "1.5", "0x10", "1e3", "\u00bd", "3a", "--1"]
+)
+_TOKENS = st.one_of(_ASCII_INTS, _ASCII_INTS, _UNICODE_INTS, _UNDERSCORED, _ODD_TOKENS)
+_SEPARATORS = st.sampled_from([" ", "\t", "\n", "\r\n", "\x1c", "\x0b\x0c", "\u2003", "  \n"])
+
+
+@st.composite
+def token_streams(draw):
+    tokens = draw(st.lists(_TOKENS, max_size=12))
+    seps = draw(st.lists(_SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return seps[0] + "".join(tok + sep for tok, sep in zip(tokens, seps[1:]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+class TestReadPairsMatchesTheTokenLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(token_streams())
+    @example("1 1_000 2 3")
+    @example("1_000 5\n2 7")
+    @example("1 2 + 3")
+    @example("1 2 3 " + "9" * 4400)
+    @example("\u0661\u0662 -\u0663 +\u0b6a 5 x 6 7")
+    @example("1\t2\r\n3\x1c4\x1c5")
+    def test_same_pairs_or_same_exception(self, text):
+        assert _outcome(read_pairs, text) == _outcome(read_pairs_reference, text)
