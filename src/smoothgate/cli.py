@@ -23,16 +23,19 @@ from .forecast import (
 )
 from .gate import DELAY, DENY, GatePolicy
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .sim import GENERATOR_KINDS, JITTER_KINDS, Scenario, read_pairs, run
+from .sim import GENERATOR_KINDS, JITTER_KINDS, TRACE_COLUMNS, TRACE_ROW, Scenario
+from .sim import read_pairs, run  # by name: perfbench's span shims patch them here
 
 SMOOTH_TITLE = "-----Time Series Smoothing Algorithm-----"
 SMOOTH_COLUMNS = "_____count_____observe_____forecast_____diff_____diffsum"
 CSV_TITLE = "Time Series Smoothing Algorithm"
-CSV_COLUMNS = "count,observe,forecast,diff,diffsum,n,stx1,stx2"
 # %-formatting is cheaper per row than f-strings and renders the same text:
-# "%10d" equals "{:10d}" and "%s" equals "{}" for every int.
+# "%10d" equals "{:10d}" for every int.
 SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
-CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
+# Where cmd_simulate sends an option: the CLI, GatePolicy, run, or else Scenario.
+_CLI_OPTIONS = ("command", "func", "output", "replay_file")
+_POLICY_OPTIONS = ("threshold", "mode", "delay_amount")
+_RUN_OPTIONS = ("n_alpha", "reset_interval")
 
 
 class CliError(Exception):
@@ -45,6 +48,15 @@ def _positive(value: int, name: str) -> int:
     return value
 
 
+def _read_records(path) -> list[tuple[int, int]]:
+    """The "<count> <value>" pairs of an input file; CliError if unreadable."""
+    try:
+        with open(path) as fh:
+            return read_pairs(fh.read())
+    except OSError:
+        raise CliError(f"Error opening input file = {path}")
+
+
 def cmd_smooth(args) -> int:
     n_alpha = _positive(args.n_alpha, "n_alpha")
     reset_time = _positive(args.reset_time, "reset_time")
@@ -52,11 +64,7 @@ def cmd_smooth(args) -> int:
     if reset_count is not None:
         reset_count = _positive(reset_count, "reset_count")
 
-    try:
-        with open(args.input) as fh:
-            records = read_pairs(fh.read())
-    except OSError:
-        raise CliError(f"Error opening input file = {args.input}")
+    records = _read_records(args.input)
 
     out = sys.stdout
     out.write("\n")
@@ -78,7 +86,7 @@ def cmd_smooth(args) -> int:
         if reset_count:
             line += f",,reset_c = {reset_count}"
         csv_file.write(line + "\n")
-        csv_file.write(CSV_COLUMNS + "\n")
+        csv_file.write(TRACE_COLUMNS + "\n")
 
     if args.sim_clock:
         clock = ManualClock(0)
@@ -91,6 +99,7 @@ def cmd_smooth(args) -> int:
     update = smoother.update
     write = out.write
     csv_write = csv_file.write if csv_file else None
+    csv_row = TRACE_ROW + "\n"
     diffsum = 0
     try:
         for count, xt in records:
@@ -99,7 +108,7 @@ def cmd_smooth(args) -> int:
             diffsum += diff
             write(SMOOTH_ROW % (count, xt, ft, diff, diffsum))
             if csv_write:
-                csv_write(CSV_ROW % (count, xt, ft, diff, diffsum,
+                csv_write(csv_row % (count, xt, ft, diff, diffsum,
                                      smoother.n, smoother.s1, smoother.s2))
             # The reset path: go idle for longer than the reset interval
             # right after the flagged record, so the next one restarts.
@@ -160,42 +169,19 @@ def cmd_trace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    values = ()
+    # An option left off the command line is absent from args, so Scenario,
+    # GatePolicy and run apply their own defaults.
+    options = {k: v for k, v in vars(args).items() if k not in _CLI_OPTIONS}
     if args.kind == "replay":
-        if not args.replay_file:
+        replay_file = getattr(args, "replay_file", None)
+        if not replay_file:
             raise CliError("replay needs --replay-file")
-        try:
-            with open(args.replay_file) as fh:
-                values = tuple(v for _, v in read_pairs(fh.read()))
-        except OSError:
-            raise CliError(f"Error opening input file = {args.replay_file}")
-    scenario = Scenario(
-        kind=args.kind,
-        length=args.length,
-        level=args.level,
-        high=args.high,
-        switch_at=args.switch_at,
-        slope=args.slope,
-        burst_len=args.burst_len,
-        values=values,
-        pause_after=args.pause_after,
-        pause_gap=args.pause_gap,
-        spacing=args.spacing,
-        jitter=args.jitter,
-        jitter_scale=args.jitter_scale,
-        seed=args.seed,
-    )
-    policy = None
-    if args.threshold is not None:
-        policy = GatePolicy(
-            threshold=args.threshold, mode=args.mode, delay_amount=args.delay_amount
-        )
-    trace = run(
-        scenario,
-        n_alpha=args.n_alpha,
-        reset_interval=args.reset_interval,
-        policy=policy,
-    )
+        options["values"] = tuple(v for _, v in _read_records(replay_file))
+    policy_options = {k: options.pop(k) for k in _POLICY_OPTIONS if k in options}
+    run_options = {k: options.pop(k) for k in _RUN_OPTIONS if k in options}
+    scenario = Scenario(**options)
+    policy = GatePolicy(**policy_options) if "threshold" in policy_options else None
+    trace = run(scenario, policy=policy, **run_options)
     _emit(args.output, trace.to_csv())
     if trace.stats is not None:
         summary = trace.stats.summary()
@@ -263,28 +249,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("simulate", help="run a workload scenario, optionally gated")
+    # No defaults but --output's: cmd_simulate passes only the given options.
+    p = sub.add_parser("simulate", help="run a workload scenario, optionally gated",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
-    p.add_argument("--length", type=int, default=25)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--high", type=int, default=0)
-    p.add_argument("--switch-at", dest="switch_at", type=int, default=1)
-    p.add_argument("--slope", type=int, default=0)
-    p.add_argument("--burst-len", dest="burst_len", type=int, default=0)
-    p.add_argument("--replay-file", default=None,
+    p.add_argument("--length", type=int)
+    p.add_argument("--level", type=int)
+    p.add_argument("--high", type=int)
+    p.add_argument("--switch-at", dest="switch_at", type=int)
+    p.add_argument("--slope", type=int)
+    p.add_argument("--burst-len", dest="burst_len", type=int)
+    p.add_argument("--replay-file",
                    help="replay: '<count> <value>' file supplying the observations")
-    p.add_argument("--pause-after", dest="pause_after", type=int, default=None)
-    p.add_argument("--pause-gap", dest="pause_gap", type=int, default=0)
-    p.add_argument("--spacing", type=int, default=1, help="seconds between events")
-    p.add_argument("--jitter", choices=JITTER_KINDS, default=None)
-    p.add_argument("--jitter-scale", dest="jitter_scale", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-alpha", dest="n_alpha", type=int, default=10)
-    p.add_argument("--reset-interval", dest="reset_interval", type=int, default=5)
-    p.add_argument("--threshold", type=int, default=None,
+    p.add_argument("--pause-after", dest="pause_after", type=int)
+    p.add_argument("--pause-gap", dest="pause_gap", type=int)
+    p.add_argument("--spacing", type=int, help="seconds between events")
+    p.add_argument("--jitter", choices=JITTER_KINDS)
+    p.add_argument("--jitter-scale", dest="jitter_scale", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-alpha", dest="n_alpha", type=int)
+    p.add_argument("--reset-interval", dest="reset_interval", type=int)
+    p.add_argument("--threshold", type=int,
                    help="enable the admission gate at this forecast level")
-    p.add_argument("--mode", choices=(DENY, DELAY), default=DENY)
-    p.add_argument("--delay-amount", dest="delay_amount", type=int, default=0)
+    p.add_argument("--mode", choices=(DENY, DELAY))
+    p.add_argument("--delay-amount", dest="delay_amount", type=int)
     p.add_argument("--output", default=None, help="trace CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 

@@ -59,22 +59,29 @@ def clamp_observation(x: int, n_alpha: int) -> int:
     return x
 
 
+def _require_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def system_seconds() -> int:
     """Wall clock in whole seconds, the default production time source."""
     return int(time.time())
 
 
 class ManualClock:
-    """Deterministic injectable time source for tests and simulations."""
+    """Deterministic injectable time source in whole (int) seconds."""
 
     def __init__(self, start: int = 0):
-        self.now = int(start)
+        _require_int("start", start)
+        self.now = start
 
     def __call__(self) -> int:
         return self.now
 
     def advance(self, seconds: int) -> None:
-        self.now += int(seconds)
+        _require_int("seconds", seconds)
+        self.now += seconds
 
 
 class IntSmoother:
@@ -92,7 +99,10 @@ class IntSmoother:
     If more than ``reset_interval`` seconds pass between updates the sample
     count drops back to zero, so the next observation restarts the mean and
     becomes the forecast verbatim (stale smoothed state is worthless for
-    event-driven latency streams).
+    event-driven latency streams).  A clock that steps back never resets:
+    the elapsed time is negative, and the next one is measured from the
+    earlier reading.  With reset_interval 5, updates at t = 100, 101, 102,
+    50 keep their state and one at 56 resets, as the C reference does.
 
     Updates must be serialized by the caller; the instance may be moved
     between threads between updates.
@@ -104,9 +114,8 @@ class IntSmoother:
         reset_interval: int = 5,
         clock: Callable[[], int] = system_seconds,
     ):
-        for name, value in (("n_alpha", n_alpha), ("reset_interval", reset_interval)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        _require_int("n_alpha", n_alpha)
+        _require_int("reset_interval", reset_interval)
         if n_alpha < 1:
             raise ValueError(f"n_alpha must be >= 1, got {n_alpha}")
         if reset_interval < 0:

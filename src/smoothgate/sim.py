@@ -165,9 +165,12 @@ def generate(scenario: Scenario) -> list[tuple[int, int]]:
     return events
 
 
-# ``%s`` renders every value as str() does, as ``f"{value}"`` would.
-_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
-_GATED_ROW = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+# The leading trace columns, shared with the ``smooth -w`` CSV.  ``%s``
+# renders every value as str() does, as ``f"{value}"`` would.
+TRACE_COLUMNS = "count,observe,forecast,diff,diffsum,n,stx1,stx2"
+TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s"
+_ROW = TRACE_ROW + ",%s,%s\n"
+_GATED_ROW = TRACE_ROW + ",%s,%s,%s\n"
 
 
 class TraceRow(NamedTuple):
@@ -181,7 +184,6 @@ class TraceRow(NamedTuple):
     s2: int
     a: int
     b: int
-    clock: int
     decision: GateDecision | None = None
 
 
@@ -196,17 +198,17 @@ class SimTrace:
         return [r.forecast for r in self.rows]
 
     def to_csv(self) -> str:
-        """Verbose-trace CSV: count,observe,forecast,diff,diffsum,n,stx1,stx2
-        plus level/slope columns and, when a gate ran, the verdict."""
+        """Verbose-trace CSV: the TRACE_COLUMNS, then the level/slope
+        columns and, when a gate ran, the verdict."""
         gated = self.stats is not None
-        header = "count,observe,forecast,diff,diffsum,n,stx1,stx2,at,bt"
+        header = TRACE_COLUMNS + ",at,bt"
         if gated:
             header += ",decision"
         lines = [header + "\n"]
         append = lines.append
         diffsum = 0
         # Unpacking a row is cheaper than reading its fields by name.
-        for t, observe, forecast, n, s1, s2, a, b, _clock, decision in self.rows:
+        for t, observe, forecast, n, s1, s2, a, b, decision in self.rows:
             diff = observe - forecast
             diffsum += diff
             if gated:
@@ -248,7 +250,7 @@ def run(
             forecast = smoother.update(x)
         level, slope = trend()
         append(TraceRow(t, x, forecast, smoother.n, smoother.s1, smoother.s2,
-                        level, slope, now, decision))
+                        level, slope, decision))
     return SimTrace(
         rows=rows,
         stats=gate.stats if gate is not None else None,

@@ -2,8 +2,10 @@ import subprocess
 
 import pytest
 
+from smoothgate import INT32_MAX, INT32_MIN, GatePolicy, Scenario, run
 from smoothgate.cli import main
 
+from oracles import integer_trace
 from tables import (
     CANONICAL_REPORT,
     DECAY_WEIGHT_ROWS,
@@ -129,6 +131,28 @@ class TestSmoothCommand:
         main(["smooth", str(path)])
         assert len(parse_report_rows(capsys.readouterr().out)) == 2
 
+    def test_diff_and_diffsum_past_int32_print_the_exact_value(self, capsys, tmp_path):
+        # The C program's int diffsum overflows at record 2, where its
+        # behaviour is undefined; the port prints the exact integers.
+        values = [INT32_MAX] * 20 + [INT32_MIN]
+        path = tmp_path / "in.txt"
+        path.write_text("".join(f"{i} {x}\n" for i, x in enumerate(values, start=1)))
+        csv_path = tmp_path / "out.csv"
+        assert main(["smooth", "--sim-clock", "-n", "10", "-w", str(csv_path), str(path)]) == 0
+        report = capsys.readouterr().out.splitlines()[4:]
+        expected = []
+        diffsum = 0
+        for i, (x, st) in enumerate(zip(values, integer_trace(values, 10)), start=1):
+            diff = x - st["ft"]
+            diffsum += diff
+            expected.append((i, x, st["ft"], diff, diffsum, st["n"], st["s1"], st["s2"]))
+        rows = [tuple(map(int, line.split(",")))
+                for line in csv_path.read_text().splitlines()[3:]]
+        assert rows == expected
+        assert report == ["%10d%10d%10d%10d%10d" % row[:5] for row in expected]
+        assert rows[1][4] == 3865470566
+        assert rows[20][3:5] == (-2276332667, 36378372993)
+
     @pytest.mark.slow
     def test_reset_run_matches_the_c_oracle_sleeping_for_real(
         self, capsys, data_dir, tmp_path, c_oracle
@@ -244,6 +268,27 @@ class TestSimulateCommand:
         sim_rows = [line.split(",")[:8] for line in sim_out.read_text().splitlines()[1:]]
         smooth_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
         assert sim_rows == smooth_rows
+
+    @pytest.mark.parametrize("argv,scenario", [
+        (["--kind", "constant"], Scenario(kind="constant")),
+        (["--kind", "step"], Scenario(kind="step")),
+        (["--kind", "ramp"], Scenario(kind="ramp")),
+        (["--kind", "burst", "--burst-len", "3"], Scenario(kind="burst", burst_len=3)),
+    ])
+    def test_left_out_options_take_the_library_defaults(self, capsys, argv, scenario):
+        assert main(["simulate", *argv]) == 0
+        captured = capsys.readouterr()
+        trace = run(scenario)
+        assert captured.out == trace.to_csv()
+        assert captured.err == f"events={len(trace.rows)}\n"
+
+    def test_threshold_alone_takes_the_policy_defaults(self, capsys):
+        assert main(["simulate", "--kind", "step", "--high", "900", "--threshold", "400"]) == 0
+        captured = capsys.readouterr()
+        trace = run(Scenario(kind="step", high=900), policy=GatePolicy(threshold=400))
+        assert captured.out == trace.to_csv()
+        assert captured.err == trace.stats.summary() + "\n"
+        assert "deny" in captured.out
 
     def test_ungated_run_prints_an_event_summary(self, capsys):
         rc = main(["simulate", "--kind", "constant", "--level", "5", "--length", "4"])

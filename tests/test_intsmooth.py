@@ -112,6 +112,20 @@ class TestResetTrace:
         sm.update(12)
         assert sm.n == 2
 
+    @pytest.mark.parametrize("later,n", [(55, 3), (56, 1)])
+    def test_a_clock_that_steps_back_never_resets(self, later, n):
+        # Stepping back is a negative elapsed time, not a pause; the next
+        # elapsed time is measured from the earlier reading, as in C.
+        clock = ManualClock(0)
+        sm = IntSmoother(n_alpha=3, reset_interval=5, clock=clock)
+        for now in (100, 101, 102, 50):
+            clock.now = now
+            sm.update(10)
+        assert sm.n == 3
+        clock.now = later
+        sm.update(10)
+        assert sm.n == n
+
 
 class TestStartupRegion:
     def test_statistics_collapse_during_startup(self):
@@ -162,6 +176,15 @@ class TestContracts:
     def test_constructor_rejects_non_int_parameters(self, field, value):
         with pytest.raises(TypeError):
             IntSmoother(**{field: value}, clock=ManualClock(0))
+
+    @pytest.mark.parametrize("value", ["7", 1.9, 0.5, True])
+    def test_manual_clock_rejects_non_int_times(self, value):
+        with pytest.raises(TypeError):
+            ManualClock(value)
+        clock = ManualClock(3)
+        with pytest.raises(TypeError):
+            clock.advance(value)
+        assert clock.now == 3
 
     @pytest.mark.parametrize("x", ["5", 3.9, 5.0, True, False, None])
     def test_update_rejects_non_int_observations(self, x):

@@ -171,11 +171,11 @@ class TestTraceRowValue:
         a = run(Scenario(kind="constant", length=3, level=5)).rows
         b = run(Scenario(kind="constant", length=3, level=5)).rows
         assert a == b
-        assert a[0] == TraceRow(1, 5, 5, 1, 5, 5, 5, 0, 0)
+        assert a[0] == TraceRow(1, 5, 5, 1, 5, 5, 5, 0)
         assert a[0] != a[1]
 
     def test_decision_defaults_to_none(self):
-        assert TraceRow(1, 5, 5, 1, 5, 5, 5, 0, 0).decision is None
+        assert TraceRow(1, 5, 5, 1, 5, 5, 5, 0).decision is None
 
     def test_decision_of_a_gated_row_reports_admitted(self):
         row = run(Scenario(kind="constant", length=1, level=5),
