@@ -10,6 +10,7 @@ Subcommands:
 """
 
 import argparse
+import functools
 import sys
 import time
 
@@ -33,19 +34,13 @@ CSV_TITLE = "Time Series Smoothing Algorithm"
 # "%10d" equals "{:10d}" for every int.
 SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
 # Where cmd_simulate sends an option: the CLI, GatePolicy, run, or else Scenario.
-_CLI_OPTIONS = ("command", "func", "output", "replay_file")
+_CLI_OPTIONS = ("command", "output", "replay_file")
 _POLICY_OPTIONS = ("threshold", "mode", "delay_amount")
 _RUN_OPTIONS = ("n_alpha", "reset_interval")
 
 
 class CliError(Exception):
     """Rejected input; the message goes to stderr and the exit code is 1."""
-
-
-def _positive(value: int, name: str) -> int:
-    if value <= 0:
-        raise CliError(f"Invalid {name} = {value}")
-    return value
 
 
 def _read_records(path) -> list[tuple[int, int]]:
@@ -58,50 +53,52 @@ def _read_records(path) -> list[tuple[int, int]]:
 
 
 def cmd_smooth(args) -> int:
-    n_alpha = _positive(args.n_alpha, "n_alpha")
-    reset_time = _positive(args.reset_time, "reset_time")
-    reset_count = args.reset_count
-    if reset_count is not None:
-        reset_count = _positive(reset_count, "reset_count")
+    for name in ("n_alpha", "reset_time", "reset_count"):
+        value = getattr(args, name)
+        if value is not None and value <= 0:
+            raise CliError(f"Invalid {name} = {value}")
+    n_alpha, reset_time, reset_count = args.n_alpha, args.reset_time, args.reset_count
 
-    records = _read_records(args.input)
-
-    out = sys.stdout
-    out.write("\n")
-    out.write(SMOOTH_TITLE + "\n")
-    header = f"n_alpha = {n_alpha} reset_time = {reset_time}"
-    if reset_count:
-        header += f" reset_count = {reset_count}"
-    out.write(header + "\n")
-    out.write(SMOOTH_COLUMNS + "\n")
-
+    # Open the CSV before reading the input, as C does: a bad -w fails first.
     csv_file = None
     if args.write_csv:
         try:
             csv_file = open(args.write_csv, "w")
         except OSError:
             raise CliError(f"Error opening output file = {args.write_csv}")
-        csv_file.write(CSV_TITLE + "\n")
-        line = f"n_alpha = {n_alpha},,reset_t = {reset_time}"
-        if reset_count:
-            line += f",,reset_c = {reset_count}"
-        csv_file.write(line + "\n")
-        csv_file.write(TRACE_COLUMNS + "\n")
-
-    if args.sim_clock:
-        clock = ManualClock(0)
-        pause = clock.advance
-    else:
-        clock = system_seconds
-        pause = time.sleep
-
-    smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_time, clock=clock)
-    update = smoother.update
-    write = out.write
-    csv_write = csv_file.write if csv_file else None
-    csv_row = TRACE_ROW + "\n"
-    diffsum = 0
     try:
+        records = _read_records(args.input)
+
+        out = sys.stdout
+        out.write("\n")
+        out.write(SMOOTH_TITLE + "\n")
+        header = f"n_alpha = {n_alpha} reset_time = {reset_time}"
+        if reset_count:
+            header += f" reset_count = {reset_count}"
+        out.write(header + "\n")
+        out.write(SMOOTH_COLUMNS + "\n")
+
+        if csv_file:
+            csv_file.write(CSV_TITLE + "\n")
+            line = f"n_alpha = {n_alpha},,reset_t = {reset_time}"
+            if reset_count:
+                line += f",,reset_c = {reset_count}"
+            csv_file.write(line + "\n")
+            csv_file.write(TRACE_COLUMNS + "\n")
+
+        if args.sim_clock:
+            clock = ManualClock(0)
+            pause = clock.advance
+        else:
+            clock = system_seconds
+            pause = time.sleep
+
+        smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_time, clock=clock)
+        update = smoother.update
+        write = out.write
+        csv_write = csv_file.write if csv_file else None
+        csv_row = TRACE_ROW + "\n"
+        diffsum = 0
         for count, xt in records:
             ft = update(xt)
             diff = xt - ft
@@ -172,15 +169,20 @@ def cmd_simulate(args) -> int:
     # An option left off the command line is absent from args, so Scenario,
     # GatePolicy and run apply their own defaults.
     options = {k: v for k, v in vars(args).items() if k not in _CLI_OPTIONS}
-    if args.kind == "replay":
-        replay_file = getattr(args, "replay_file", None)
-        if not replay_file:
-            raise CliError("replay needs --replay-file")
+    replay_file = getattr(args, "replay_file", None)
+    if args.kind != "replay":
+        if replay_file is not None:
+            raise CliError(f"--replay-file needs --kind replay, got --kind {args.kind}")
+    elif not replay_file:
+        raise CliError("replay needs --replay-file")
+    else:
         options["values"] = tuple(v for _, v in _read_records(replay_file))
     policy_options = {k: options.pop(k) for k in _POLICY_OPTIONS if k in options}
+    if policy_options and "threshold" not in policy_options:
+        raise CliError("--mode and --delay-amount need --threshold")
     run_options = {k: options.pop(k) for k in _RUN_OPTIONS if k in options}
     scenario = Scenario(**options)
-    policy = GatePolicy(**policy_options) if "threshold" in policy_options else None
+    policy = GatePolicy(**policy_options) if policy_options else None
     trace = run(scenario, policy=policy, **run_options)
     _emit(args.output, trace.to_csv())
     if trace.stats is not None:
@@ -199,6 +201,7 @@ def _emit(path, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothgate",
@@ -226,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write verbose output to comma delimited file")
     p.add_argument("--sim-clock", action="store_true",
                    help="advance a virtual clock instead of sleeping on -r")
-    p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("weights", help="emit the weight-schedule tables as CSV")
     p.add_argument("--alpha", type=float, required=True, help="smoothing constant")
     p.add_argument("--rows", type=int, default=20, help="number of table rows")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("trace", help="float-model response to a step or ramp series")
     p.add_argument("--model", choices=("single", "double", "ma"), required=True)
@@ -247,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intercept", type=int, default=0, help="ramp: value at t=1")
     p.add_argument("--slope", type=int, default=10, help="ramp: increment per step")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_trace)
 
     # No defaults but --output's: cmd_simulate passes only the given options.
     p = sub.add_parser("simulate", help="run a workload scenario, optionally gated",
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(DENY, DELAY))
     p.add_argument("--delay-amount", dest="delay_amount", type=int)
     p.add_argument("--output", default=None, help="trace CSV path (default stdout)")
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -282,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # By name, so a command shimmed after the parser was built still runs.
+        return globals()["cmd_" + args.command](args)
     except (CliError, ValueError) as err:
         print(err, file=sys.stderr)
         return 1

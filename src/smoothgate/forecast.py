@@ -10,7 +10,7 @@ import math
 import sys
 from collections import deque
 
-from .errors import UnprimedError
+from .errors import UnprimedError, _check_int
 
 __all__ = [
     "SingleExpSmoother",
@@ -55,8 +55,7 @@ def _saturate(v: float) -> float:
 
 def _check_schedule(alpha: float, rows: int) -> None:
     _check_alpha(alpha)
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+    _check_int("rows", rows, 1)
 
 
 def startup_length(alpha: float) -> int:
@@ -182,9 +181,7 @@ class MovingAverage:
     the window fills, so a forecast exists from the first point)."""
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
+        self.window = _check_int("window", window, 1)
         self._buf = deque(maxlen=window)
 
     def update(self, x: float) -> float:
@@ -195,7 +192,11 @@ class MovingAverage:
     def forecast(self) -> float:
         if not self._buf:
             raise UnprimedError("forecast read before any observation")
-        return math.fsum(self._buf) / len(self._buf)
+        try:
+            return math.fsum(self._buf) / len(self._buf)
+        except OverflowError:  # the sum left the float range; the mean cannot
+            scale = 2.0 ** len(self._buf).bit_length()  # a power of two above the length
+            return math.fsum(x / scale for x in self._buf) / len(self._buf) * scale
 
     def __len__(self) -> int:
         return len(self._buf)

@@ -11,6 +11,8 @@ Decisions are immutable named tuples: they compare, hash and unpack like
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import _check_int
+
 __all__ = [
     "NEW_SESSION",
     "IN_PROGRESS",
@@ -46,12 +48,10 @@ class GatePolicy:
     delay_amount: int = 0  # returned to the caller in delay mode
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        _check_int("threshold", self.threshold, 1)
         if self.mode not in (DENY, DELAY):
             raise ValueError(f"mode must be {DENY!r} or {DELAY!r}, got {self.mode!r}")
-        if self.delay_amount < 0:
-            raise ValueError(f"delay_amount must be >= 0, got {self.delay_amount}")
+        _check_int("delay_amount", self.delay_amount, 0)
 
 
 class GateDecision(NamedTuple):

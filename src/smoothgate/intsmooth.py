@@ -11,7 +11,7 @@ a kernel-level driver) while matching its real-arithmetic twin closely.
 import time
 from typing import Callable
 
-from .errors import UnprimedError
+from .errors import UnprimedError, _check_int
 
 __all__ = [
     "INT32_MAX",
@@ -59,11 +59,6 @@ def clamp_observation(x: int, n_alpha: int) -> int:
     return x
 
 
-def _require_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def system_seconds() -> int:
     """Wall clock in whole seconds, the default production time source."""
     return int(time.time())
@@ -73,15 +68,13 @@ class ManualClock:
     """Deterministic injectable time source in whole (int) seconds."""
 
     def __init__(self, start: int = 0):
-        _require_int("start", start)
-        self.now = start
+        self.now = _check_int("start", start)
 
     def __call__(self) -> int:
         return self.now
 
     def advance(self, seconds: int) -> None:
-        _require_int("seconds", seconds)
-        self.now += seconds
+        self.now += _check_int("seconds", seconds)
 
 
 class IntSmoother:
@@ -114,14 +107,8 @@ class IntSmoother:
         reset_interval: int = 5,
         clock: Callable[[], int] = system_seconds,
     ):
-        _require_int("n_alpha", n_alpha)
-        _require_int("reset_interval", reset_interval)
-        if n_alpha < 1:
-            raise ValueError(f"n_alpha must be >= 1, got {n_alpha}")
-        if reset_interval < 0:
-            raise ValueError(f"reset_interval must be >= 0, got {reset_interval}")
-        self.n_alpha = n_alpha
-        self.reset_interval = reset_interval
+        self.n_alpha = _check_int("n_alpha", n_alpha, 1)
+        self.reset_interval = _check_int("reset_interval", reset_interval, 0)
         self._clock = clock
         self.n = 0
         self.s1 = 0

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import _check_int
 from .gate import CongestionGate, GateDecision, GatePolicy, GateStats
 from .intsmooth import IntSmoother, ManualClock
 
@@ -101,31 +102,29 @@ class Scenario:
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")
             object.__setattr__(self, "length", len(self.values))
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.spacing < 0:
-            raise ValueError(f"spacing must be >= 0, got {self.spacing}")
-        if self.pause_after is not None:
+        elif self.values:
+            raise ValueError(f"values are for replay scenarios, got kind {self.kind!r}")
+        _check_int("length", self.length, 1)
+        _check_int("spacing", self.spacing, 0)
+        paused = self.pause_after is not None
+        if paused:
+            _check_int("pause_after", self.pause_after)
             if not 1 <= self.pause_after < self.length:
                 raise ValueError(
                     f"pause_after must fall inside the run, got {self.pause_after}"
                 )
-            if self.pause_gap < 0:
-                raise ValueError(f"pause_gap must be >= 0, got {self.pause_gap}")
-        if self.jitter is not None:
-            if self.jitter not in JITTER_KINDS:
-                raise ValueError(f"jitter must be one of {JITTER_KINDS}, got {self.jitter!r}")
-            if self.jitter_scale < 1:
-                raise ValueError("jitter needs a positive jitter_scale")
+        _check_int("pause_gap", self.pause_gap, 0 if paused else None)
+        if self.jitter is not None and self.jitter not in JITTER_KINDS:
+            raise ValueError(f"jitter must be one of {JITTER_KINDS}, got {self.jitter!r}")
+        _check_int("jitter_scale", self.jitter_scale, 1 if self.jitter is not None else None)
         # Synthetic generators model response times, which are non-negative.
-        if self.kind in ("constant", "step", "burst") and self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if self.kind in ("step", "burst") and self.high < 0:
-            raise ValueError(f"high must be >= 0, got {self.high}")
-        if self.kind in ("step", "burst") and self.switch_at < 1:
-            raise ValueError(f"switch_at must be >= 1, got {self.switch_at}")
-        if self.kind == "burst" and self.burst_len < 1:
-            raise ValueError(f"burst needs burst_len >= 1, got {self.burst_len}")
+        two_level = self.kind in ("step", "burst")
+        _check_int("level", self.level, 0 if two_level or self.kind == "constant" else None)
+        _check_int("high", self.high, 0 if two_level else None)
+        _check_int("switch_at", self.switch_at, 1 if two_level else None)
+        _check_int("burst_len", self.burst_len, 1 if self.kind == "burst" else None)
+        _check_int("slope", self.slope)
+        _check_int("seed", self.seed)
         if self.kind == "ramp":
             if self.level < 0 or self.level + self.slope * (self.length - 1) < 0:
                 raise ValueError("ramp leaves the non-negative range")

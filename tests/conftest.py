@@ -15,13 +15,17 @@ def data_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def c_oracle(tmp_path_factory) -> Path:
-    """Compile the reference C program once per session."""
+    """Compile the reference C program once per session.
+
+    Signed int overflow aborts it, so every comparison with C also checks
+    that C's int32 arithmetic stayed defined."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler available for the cross-language oracle")
     exe = tmp_path_factory.mktemp("oracle") / "time_series_smooth"
     subprocess.run(
-        [cc, str(REFERENCE_C), "-Wall", "-o", str(exe)],
+        [cc, str(REFERENCE_C), "-Wall", "-fsanitize=signed-integer-overflow",
+         "-fno-sanitize-recover=all", "-o", str(exe)],
         check=True,
         capture_output=True,
     )

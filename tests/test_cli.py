@@ -3,6 +3,7 @@ import subprocess
 import pytest
 
 from smoothgate import INT32_MAX, INT32_MIN, GatePolicy, Scenario, run
+from smoothgate import cli
 from smoothgate.cli import main
 
 from oracles import integer_trace
@@ -31,6 +32,11 @@ def parse_report_rows(stdout: str):
     ["simulate", "--kind", "constant", "--reset-interval", "-1"],
     ["trace", "--model", "single", "--series", "ramp", "--intercept", "-5"],
     ["trace", "--model", "single", "--series", "step", "--switch-at", "0"],
+    ["simulate", "--kind", "constant", "--spacing", "-1"],
+    ["simulate", "--kind", "constant", "--pause-after", "3", "--pause-gap", "-1"],
+    ["simulate", "--kind", "step", "--high", "-1"],
+    ["simulate", "--kind", "burst", "--high", "-1", "--burst-len", "2"],
+    ["simulate", "--kind", "burst", "--burst-len", "0"],
 ])
 def test_constructor_errors_exit_one_without_output(capsys, argv):
     assert main(argv) == 1
@@ -152,6 +158,40 @@ class TestSmoothCommand:
         assert report == ["%10d%10d%10d%10d%10d" % row[:5] for row in expected]
         assert rows[1][4] == 3865470566
         assert rows[20][3:5] == (-2276332667, 36378372993)
+
+    def test_c_oracle_is_built_with_the_overflow_sanitizer(self, c_oracle, tmp_path):
+        # The records that overflow the C program's int diffsum at record 2.
+        values = [INT32_MAX] * 20 + [INT32_MIN]
+        path = tmp_path / "in.txt"
+        path.write_text("".join(f"{i} {x}\n" for i, x in enumerate(values, start=1)))
+        proc = subprocess.run([str(c_oracle), "-n", "10", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "time_series_smooth.c:157" in proc.stderr
+        assert "signed integer overflow" in proc.stderr
+
+    @pytest.mark.parametrize("csv,source", [
+        ("/no/such/dir/x.csv", "canonical_input.txt"),
+        ("/no/such/dir/x.csv", "/no/such/file.txt"),
+        ("out.csv", "/no/such/file.txt"),
+    ])
+    def test_open_errors_match_the_c_oracle(
+        self, capsys, monkeypatch, data_dir, tmp_path, c_oracle, csv, source
+    ):
+        source = str(data_dir / source)  # an absolute source stays as it is
+        oracle_dir = tmp_path / "oracle"
+        oracle_dir.mkdir()
+        proc = subprocess.run([str(c_oracle), "-w", csv, source],
+                              capture_output=True, text=True, cwd=oracle_dir)
+        mine_dir = tmp_path / "mine"
+        mine_dir.mkdir()
+        monkeypatch.chdir(mine_dir)
+        rc = main(["smooth", "-w", csv, source])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert rc == 1
+        assert sorted(p.name for p in mine_dir.iterdir()) == sorted(
+            p.name for p in oracle_dir.iterdir())
 
     @pytest.mark.slow
     def test_reset_run_matches_the_c_oracle_sleeping_for_real(
@@ -306,3 +346,33 @@ class TestSimulateCommand:
         rc = main(["simulate", "--kind", "replay"])
         assert rc == 1
         assert "replay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options", [
+        ["--mode", "delay"],
+        ["--delay-amount", "3"],
+        ["--mode", "delay", "--delay-amount", "-1"],
+    ])
+    def test_gate_options_need_a_threshold(self, capsys, options):
+        assert main(["simulate", "--kind", "constant", *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--mode and --delay-amount need --threshold\n"
+
+    @pytest.mark.parametrize("replay_file", ["canonical_input.txt", "missing.txt"])
+    def test_replay_file_needs_the_replay_kind(self, capsys, data_dir, replay_file):
+        argv = ["simulate", "--kind", "constant", "--replay-file", str(data_dir / replay_file)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--replay-file needs --kind replay, got --kind constant\n"
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_at_call_time(
+    capsys, monkeypatch
+):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["weights", "--alpha", "0.5", "--rows", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_weights", lambda args: 7)
+    assert main(["weights", "--alpha", "0.5", "--rows", "1"]) == 7
+    assert capsys.readouterr().out == ""

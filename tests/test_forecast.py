@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import deque
 
 import pytest
 
@@ -125,6 +126,8 @@ class TestFloatSmoother:
         m = FloatSmoother(0.2)
         with pytest.raises(UnprimedError):
             m.forecast
+        with pytest.raises(UnprimedError):
+            m.trend()
         m.update(10)
         assert m.forecast == 10.0
 
@@ -271,6 +274,9 @@ class TestInitialEstimate:
         assert forecast == initial and type(forecast) is float
 
 
+_MAX = sys.float_info.max
+
+
 class TestMovingAverage:
     def test_full_window_weights_are_uniform(self):
         m = MovingAverage(20)
@@ -298,6 +304,33 @@ class TestMovingAverage:
     def test_rejects_zero_window(self):
         with pytest.raises(ValueError):
             MovingAverage(0)
+
+    @pytest.mark.parametrize("window", [True, 3.0, 2.5, "3"])
+    def test_rejects_a_non_int_window(self, window):
+        with pytest.raises(TypeError, match=f"^window must be an int, got {type(window).__name__}$"):
+            MovingAverage(window)
+
+    @pytest.mark.parametrize("window,xs,mean", [
+        (3, (_MAX, _MAX, -_MAX), _MAX / 3),
+        (3, (_MAX, _MAX, _MAX), _MAX),
+        (4, (1.0,) + (-_MAX,) * 4, -_MAX),
+        (5, (_MAX, _MAX, 1e308, -_MAX, 3.0), _MAX / 5 + 1e308 / 5),
+    ])
+    def test_a_finite_mean_whose_sum_overflows(self, window, xs, mean):
+        m = MovingAverage(window)
+        for x in xs:
+            got = m.update(x)
+        assert math.isfinite(got)
+        assert got == pytest.approx(mean, rel=1e-15)
+
+    def test_a_sum_inside_the_float_range_keeps_the_plain_mean(self):
+        rng = random.Random(5)
+        for window in (1, 2, 3, 7, 20):
+            m = MovingAverage(window)
+            last = deque(maxlen=window)
+            for _ in range(200):
+                last.append(rng.choice([rng.uniform(-1, 1) * 1e307, rng.uniform(-9, 9)]))
+                assert m.update(last[-1]) == math.fsum(last) / len(last)
 
 
 class TestRampBias:
@@ -370,6 +403,12 @@ class TestWeightSchedules:
                 fn(1.5, 10)
             with pytest.raises(ValueError):
                 fn(0.1, 0)
+
+    @pytest.mark.parametrize("fn", [smoothing_weights, initial_estimate_weights, startup_weights])
+    @pytest.mark.parametrize("rows", [True, 2.0, 2.5, "2"])
+    def test_rejects_a_non_int_row_count(self, fn, rows):
+        with pytest.raises(TypeError, match=f"^rows must be an int, got {type(rows).__name__}$"):
+            fn(0.1, rows)
 
 
 class TestStartupLength:

@@ -97,6 +97,13 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             GatePolicy(threshold=10, mode=DELAY, delay_amount=-1)
 
+    @pytest.mark.parametrize("field", ["threshold", "delay_amount"])
+    @pytest.mark.parametrize("value", [True, 600.0, 2.5, "600"])
+    def test_int_fields_reject_other_types(self, field, value):
+        fields = {"threshold": 600, "mode": DELAY, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+            GatePolicy(**fields)
+
 
 class TestGateStats:
     def test_counts_partition_the_decisions(self, policy):

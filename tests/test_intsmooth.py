@@ -174,15 +174,15 @@ class TestContracts:
     @pytest.mark.parametrize("field", ["n_alpha", "reset_interval"])
     @pytest.mark.parametrize("value", [2.5, 4.0, "4", True, None])
     def test_constructor_rejects_non_int_parameters(self, field, value):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
             IntSmoother(**{field: value}, clock=ManualClock(0))
 
     @pytest.mark.parametrize("value", ["7", 1.9, 0.5, True])
     def test_manual_clock_rejects_non_int_times(self, value):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^start must be an int, got {type(value).__name__}$"):
             ManualClock(value)
         clock = ManualClock(3)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=f"^seconds must be an int, got {type(value).__name__}$"):
             clock.advance(value)
         assert clock.now == 3
 

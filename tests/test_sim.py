@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,13 +97,46 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(kind="ramp", length=10, level=0, slope=-5)
 
-    def test_synthetic_latencies_are_non_negative(self):
-        with pytest.raises(ValueError):
-            Scenario(kind="constant", length=3, level=-1)
+    @pytest.mark.parametrize("fields,message", [
+        (dict(kind="constant", level=-1), "level must be >= 0, got -1"),
+        (dict(kind="step", high=-1), "high must be >= 0, got -1"),
+        (dict(kind="burst", high=-1, burst_len=1), "high must be >= 0, got -1"),
+    ])
+    def test_synthetic_latencies_are_non_negative(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario(length=3, **fields)
 
     def test_jitter_needs_a_scale(self):
         with pytest.raises(ValueError):
             Scenario(kind="constant", length=3, level=1, jitter="uniform")
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(spacing=-1), "spacing must be >= 0, got -1"),
+        (dict(pause_after=2, pause_gap=-1), "pause_gap must be >= 0, got -1"),
+        (dict(jitter="gaussian", jitter_scale=5), "jitter must be one of"),
+        (dict(jitter="uniform", jitter_scale=0), "jitter_scale must be >= 1, got 0"),
+        (dict(kind="burst", burst_len=0), "burst_len must be >= 1, got 0"),
+        (dict(values=(5, 5)), "values are for replay scenarios, got kind 'constant'"),
+    ])
+    def test_out_of_range_fields_are_refused(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            Scenario(**{"kind": "constant", "length": 4, **fields})
+
+    @pytest.mark.parametrize("field", ["length", "level", "high", "switch_at", "slope",
+                                       "burst_len", "pause_after", "pause_gap", "spacing",
+                                       "jitter_scale", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "2"])
+    def test_int_fields_reject_other_types(self, field, value):
+        fields = {"kind": "burst", "length": 6, "burst_len": 1, field: value}
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+            Scenario(**fields)
+
+    def test_fractional_seconds_are_refused_not_truncated(self):
+        # A 5.5 s gap used to read as 6.5 on the clock, truncated to 6.
+        with pytest.raises(TypeError, match="^pause_gap must be an int, got float$"):
+            Scenario(kind="constant", length=4, level=5, pause_after=2, pause_gap=5.5)
+        with pytest.raises(TypeError, match="^spacing must be an int, got float$"):
+            Scenario(kind="constant", spacing=0.5)
 
 
 class TestRun:
