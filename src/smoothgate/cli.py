@@ -11,6 +11,7 @@ Subcommands:
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -43,13 +44,22 @@ class CliError(Exception):
     """Rejected input; the message goes to stderr and the exit code is 1."""
 
 
-def _read_records(path) -> list[tuple[int, int]]:
-    """The "<count> <value>" pairs of an input file; CliError if unreadable."""
+def _open(path, mode: str):
+    """Open a file a command was given, or raise CliError with C's message.
+
+    Latin-1 maps every byte to one character, so input is read byte for
+    byte as C reads it.
+    """
     try:
-        with open(path) as fh:
-            return read_pairs(fh.read())
+        return open(path, mode, encoding="latin-1")
     except OSError:
-        raise CliError(f"Error opening input file = {path}")
+        raise CliError(f"Error opening {'input' if mode == 'r' else 'output'} file = {path}")
+
+
+def _read_records(path) -> list[tuple[int, int]]:
+    """The "<count> <value>" pairs of an input file; CliError if unopenable."""
+    with _open(path, "r") as fh:
+        return read_pairs(fh.read())
 
 
 def cmd_smooth(args) -> int:
@@ -60,12 +70,7 @@ def cmd_smooth(args) -> int:
     n_alpha, reset_time, reset_count = args.n_alpha, args.reset_time, args.reset_count
 
     # Open the CSV before reading the input, as C does: a bad -w fails first.
-    csv_file = None
-    if args.write_csv:
-        try:
-            csv_file = open(args.write_csv, "w")
-        except OSError:
-            raise CliError(f"Error opening output file = {args.write_csv}")
+    csv_file = _open(args.write_csv, "w") if args.write_csv else None
     try:
         records = _read_records(args.input)
 
@@ -195,7 +200,7 @@ def cmd_simulate(args) -> int:
 
 def _emit(path, text: str) -> None:
     if path:
-        with open(path, "w") as fh:
+        with _open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -282,9 +287,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # By name, so a command shimmed after the parser was built still runs.
-        return globals()["cmd_" + args.command](args)
+        rc = globals()["cmd_" + args.command](args)
+        # Flushed here, so a closed pipe raises below and not at exit.
+        sys.stdout.flush()
+        return rc
     except (CliError, ValueError) as err:
         print(err, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # As the signal module's SIGPIPE note advises: the rest of stdout
+        # goes to devnull, so the flush at exit fails no second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

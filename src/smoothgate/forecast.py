@@ -65,7 +65,10 @@ def startup_length(alpha: float) -> int:
     inverse (0.1, 0.2, 0.25, ...) always map to that inverse.
     """
     _check_alpha(alpha)
-    return math.floor(1.0 / alpha + 1e-9)
+    inverse = 1.0 / alpha + 1e-9
+    if inverse == math.inf:
+        raise ValueError(f"Invalid alpha = {alpha}, 1/alpha overflows a float")
+    return math.floor(inverse)
 
 
 class SingleExpSmoother:

@@ -122,7 +122,12 @@ class CongestionGate:
         self.stats = GateStats()
 
     def observe_and_decide(self, x: int, request_kind: str = NEW_SESSION) -> GateDecision:
-        """Advance the smoother by one observation, then rule on the request."""
+        """Advance the smoother by one observation, then rule on the request.
+
+        An unknown request kind raises ValueError before the smoother moves.
+        """
+        if request_kind not in _REQUEST_KINDS:
+            raise ValueError(f"unknown request kind {request_kind!r}")
         forecast = self.smoother.update(x)
         decision = decide(self.policy, forecast, request_kind)
         self.stats.record(decision)

@@ -31,34 +31,27 @@ __all__ = [
 GENERATOR_KINDS = ("constant", "step", "ramp", "burst", "replay")
 JITTER_KINDS = ("uniform", "exponential")
 
-_INT_RE = re.compile(r"[+-]?\d+")
+# The integers C's ``fscanf(in, "%d%d", ...)`` loop reads: each ``%d``
+# skips C-locale white space, then takes an optional sign and ASCII digits.
+# Reading stops at the first character no ``%d`` can take: one outside that
+# set, or a sign with no digit after it.  (Searching for that character,
+# rather than matching the repeated prefix, keeps the regex engine from
+# saving a backtracking state per integer.)
+_SCANF_INT = re.compile(r"[+-]?[0-9]+")
+_SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]|[+-](?![0-9])")
 
 
 def read_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse whitespace-separated "<count> <value>" integer pairs.
+    """Parse "<count> <value>" integer pairs as C's
+    ``while (fscanf(in, "%d%d", &count, &xt) == 2)`` loop does.
 
-    A token is an integer when it is an optional ``+`` or ``-`` followed by
-    one or more decimal digits (Unicode decimal digits included); a token
-    with an underscore, such as ``1_000``, is not.  Parsing stops at the
-    first token that is not an integer, and an unpaired trailing integer is
-    dropped, mirroring a read-until-EOF loop.  A literal longer than the
-    interpreter's int-digit limit raises ValueError.
+    Reading stops where no integer continues, so ``12abc`` gives 12 and
+    ``0x10`` gives 0, and an unpaired last integer is dropped.  A literal
+    longer than the interpreter's int-digit limit raises ValueError.
     """
-    # Outside underscores, int() accepts exactly the tokens the pattern
-    # does, so a text that converts whole gives the same pairs; any other
-    # text takes the token-by-token loop, which finds where parsing stops.
-    if "_" not in text:
-        it = map(int, text.split())
-        try:
-            return list(zip(it, it))
-        except ValueError:
-            pass
-    ints = []
-    for tok in text.split():
-        if not _INT_RE.fullmatch(tok):
-            break
-        ints.append(int(tok))
-    return [(ints[i], ints[i + 1]) for i in range(0, len(ints) - 1, 2)]
+    stop = _SCANF_STOP.search(text)
+    it = map(int, _SCANF_INT.findall(text, 0, stop.start() if stop else len(text)))
+    return list(zip(it, it))
 
 
 @dataclass(frozen=True)
@@ -102,6 +95,8 @@ class Scenario:
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")
             object.__setattr__(self, "length", len(self.values))
+            for v in self.values:
+                _check_int("values", v)
         elif self.values:
             raise ValueError(f"values are for replay scenarios, got kind {self.kind!r}")
         _check_int("length", self.length, 1)

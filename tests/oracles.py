@@ -6,27 +6,40 @@ different from the library's.
 """
 
 import math
-import re
 from fractions import Fraction
 
 INT32_MAX = 2**31 - 1
 INT32_MIN = -(2**31)
 
 
-_INT_TOKEN = re.compile(r"[+-]?\d+")
+_C_SPACE = " \t\n\v\f\r"  # isspace() in the C locale
+_C_DIGITS = "0123456789"
 
 
 def read_pairs_reference(text: str) -> list[tuple[int, int]]:
-    """Token-by-token "<count> <value>" parser: each whitespace-separated
-    token must fully match an optional sign and decimal digits; the first
-    one that does not ends the read, and an unpaired last integer is
-    dropped."""
+    """Character-by-character emulation of C's
+    ``while (fscanf(in, "%d%d", &count, &xt) == 2)`` loop.
+
+    Each ``%d`` skips C-locale white space, takes an optional sign and then
+    needs at least one ASCII digit, reading digits while they last.  The
+    first ``%d`` that finds no digit ends the read, and an unpaired last
+    integer is dropped.
+    """
     ints = []
-    for tok in text.split():
-        if not _INT_TOKEN.fullmatch(tok):
+    i, end = 0, len(text)
+    while True:
+        while i < end and text[i] in _C_SPACE:
+            i += 1
+        start = i
+        if i < end and text[i] in "+-":
+            i += 1
+        first_digit = i
+        while i < end and text[i] in _C_DIGITS:
+            i += 1
+        if i == first_digit:
             break
-        ints.append(int(tok))
-    return [(ints[i], ints[i + 1]) for i in range(0, len(ints) - 1, 2)]
+        ints.append(int(text[start:i]))
+    return [(ints[k], ints[k + 1]) for k in range(0, len(ints) - 1, 2)]
 
 
 def trunc_div(a: int, b: int) -> int:

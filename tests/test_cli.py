@@ -1,7 +1,15 @@
+import contextlib
+import io
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import smoothgate
 from smoothgate import INT32_MAX, INT32_MIN, GatePolicy, Scenario, run
 from smoothgate import cli
 from smoothgate.cli import main
@@ -43,6 +51,53 @@ def test_constructor_errors_exit_one_without_output(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--alpha", "5e-324", "--rows", "2"],
+    ["trace", "--model", "double", "--series", "ramp", "--alpha", "1e-310"],
+])
+def test_an_alpha_too_small_to_invert_exits_one_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Invalid alpha = ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--alpha", "0.1"],
+    ["trace", "--model", "double", "--series", "ramp"],
+    ["simulate", "--kind", "constant"],
+])
+def test_an_unopenable_output_exits_one_with_c_style_message(capsys, argv):
+    assert main([*argv, "--output", "/no/such/dir/x.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "Error opening output file = /no/such/dir/x.csv\n"
+
+
+def test_a_rejected_command_leaves_its_output_file_untouched(capsys, tmp_path):
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    assert main(["weights", "--alpha", "0.1", "--rows", "0", "--output", str(out)]) == 1
+    capsys.readouterr()
+    assert out.read_text() == "kept\n"
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # C is ended by SIGPIPE without a word; the port exits 1 just as quietly.
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{i} {i % 997}\n" for i in range(1, 20001)))
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgate.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smoothgate.cli", "smooth", "--sim-clock", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
 
 
 class TestSmoothCommand:
@@ -208,6 +263,57 @@ class TestSmoothCommand:
               "-w", str(my_csv), str(data_dir / "ramp_input.txt")])
         assert capsys.readouterr().out == proc.stdout
         assert my_csv.read_text() == oracle_csv.read_text()
+
+
+# Byte streams for the differential test against the C program.  Integers
+# stay within +-10**6, so every diff and diffsum fits in int32, where C's
+# behaviour is defined; longer literals are left to the read_pairs tests.
+_C_INTS = st.integers(-10**6, 10**6).map(lambda v: b"%d" % v)
+_C_TOKENS = st.one_of(
+    _C_INTS,
+    _C_INTS,
+    _C_INTS,
+    st.integers(0, 10**6).map(lambda v: b"+%d" % v),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3).map(str.encode),
+    st.sampled_from([b"12abc", b"0x10", b"1_0", b"1.5", b"12-5", b"+", b"-", b"--1",
+                     b"\xff", b"\xc3", b"7\xe9", b"\x80"]),
+)
+_C_SEPARATORS = st.sampled_from([
+    b" ", b" ", b"\n", b"\n", b"\t", b"\r\n", b"\x0b\x0c", b" \n",
+    b"\x1c", b"\xa0", b"\xc2\xa0", b"\x85", "\u2003".encode(), b"\x00",
+])
+
+
+@st.composite
+def c_input_streams(draw):
+    tokens = draw(st.lists(_C_TOKENS, max_size=16))
+    seps = draw(st.lists(_C_SEPARATORS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return seps[0] + b"".join(tok + sep for tok, sep in zip(tokens, seps[1:]))
+
+
+class TestSmoothReadsInputAsTheCOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=c_input_streams())
+    @example(data=b"1 5\n2 12abc 3 4")
+    @example(data=b"1 0x10\n")
+    @example(data=b"1 1_0 2 3")
+    @example(data=b"1 12-5 7")
+    @example(data="1 2 \u0663 4".encode())
+    @example(data=b"1 2\n3 \xff4 5")
+    @example(data=b"1 2\x003 4")
+    @example(data=b"1 2\xa03 4")
+    def test_same_stdout_and_csv(self, c_oracle, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("stream")
+        path = work / "in.txt"
+        path.write_bytes(data)
+        proc = subprocess.run([str(c_oracle), "-w", str(work / "c.csv"), str(path)],
+                              capture_output=True, check=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["smooth", "--sim-clock", "-w", str(work / "port.csv"), str(path)])
+        assert rc == 0
+        assert out.getvalue().encode() == proc.stdout
+        assert (work / "port.csv").read_bytes() == (work / "c.csv").read_bytes()
 
 
 class TestWeightsCommand:

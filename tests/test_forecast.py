@@ -418,3 +418,8 @@ class TestStartupLength:
     )
     def test_integer_inverse(self, alpha, expected):
         assert startup_length(alpha) == expected
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_an_alpha_whose_inverse_overflows_is_refused(self, alpha):
+        with pytest.raises(ValueError, match=f"^Invalid alpha = {alpha}, 1/alpha overflows"):
+            startup_length(alpha)

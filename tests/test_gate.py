@@ -146,3 +146,13 @@ class TestCongestionGate:
         assert denied_at == expected
         assert gate.stats.denied == len(expected)
         assert gate.stats.decisions == len(CANONICAL_VALUES)
+
+    def test_unknown_request_kind_leaves_the_gate_untouched(self):
+        smoother = IntSmoother(3, clock=ManualClock())
+        gate = CongestionGate(smoother, GatePolicy(100))
+        gate.observe_and_decide(50)
+        before = vars(smoother).copy(), vars(gate.stats).copy()
+        with pytest.raises(ValueError, match="^unknown request kind 'bogus'$"):
+            gate.observe_and_decide(5000, "bogus")
+        assert (vars(smoother), vars(gate.stats)) == before
+        assert (smoother.n, smoother.forecast) == (1, 50)

@@ -131,6 +131,11 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
             Scenario(**fields)
 
+    @pytest.mark.parametrize("value", [1.5, True, "2", None])
+    def test_replay_values_must_be_ints(self, value):
+        with pytest.raises(TypeError, match=f"^values must be an int, got {type(value).__name__}$"):
+            Scenario(kind="replay", values=(3, value, 4))
+
     def test_fractional_seconds_are_refused_not_truncated(self):
         # A 5.5 s gap used to read as 6.5 on the clock, truncated to 6.
         with pytest.raises(TypeError, match="^pause_gap must be an int, got float$"):
@@ -255,6 +260,24 @@ class TestReadPairs:
     def test_accepts_signs_and_arbitrary_whitespace(self):
         assert read_pairs(" 1\t-5\n\n2   +7 ") == [(1, -5), (2, 7)]
 
+    @pytest.mark.parametrize("text,pairs", [
+        ("2 12abc", [(2, 12)]),
+        ("1 0x10", [(1, 0)]),
+        ("1 1_0", [(1, 1)]),
+        ("1 12-5 7", [(1, 12), (-5, 7)]),
+        ("1 2 3 - 4 5", [(1, 2)]),
+        ("1 2 +-3 4", [(1, 2)]),
+        ("1 2\v3\f4", [(1, 2), (3, 4)]),
+        ("1 \u0663 2 3", []),
+        ("1 2\x1c3 4", [(1, 2)]),
+        ("1 2\xa03 4", [(1, 2)]),
+        ("1 2\x003 4", [(1, 2)]),
+    ])
+    def test_reads_integers_as_c_percent_d_does(self, text, pairs):
+        # An integer ends at the first character that is not an ASCII
+        # digit; only C-locale white space may come before the next one.
+        assert read_pairs(text) == pairs
+
 
 _SIGNS = st.sampled_from(["", "+", "-"])
 _ASCII_INTS = st.builds(lambda sign, v: sign + str(v), _SIGNS, st.integers(0, 10**15))
@@ -294,5 +317,10 @@ class TestReadPairsMatchesTheTokenLoop:
     @example("1 2 3 " + "9" * 4400)
     @example("\u0661\u0662 -\u0663 +\u0b6a 5 x 6 7")
     @example("1\t2\r\n3\x1c4\x1c5")
+    @example("2 12abc")
+    @example("1 0x10")
+    @example("1 1_0")
+    @example("1 12-5")
+    @example("1 \u0663")
     def test_same_pairs_or_same_exception(self, text):
         assert _outcome(read_pairs, text) == _outcome(read_pairs_reference, text)
