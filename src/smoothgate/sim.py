@@ -34,11 +34,13 @@ JITTER_KINDS = ("uniform", "exponential")
 # The integers C's ``fscanf(in, "%d%d", ...)`` loop reads: each ``%d``
 # skips C-locale white space, then takes an optional sign and ASCII digits.
 # Reading stops at the first character no ``%d`` can take: one outside that
-# set, or a sign with no digit after it.  (Searching for that character,
-# rather than matching the repeated prefix, keeps the regex engine from
-# saving a backtracking state per integer.)
-_SCANF_INT = re.compile(r"[+-]?[0-9]+")
-_SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]|[+-](?![0-9])")
+# set, or a sign with no digit after it.  One search finds the first of the
+# former, a second search before it the first of the latter (two
+# single-class searches cost less than their alternation).  In the text
+# left, every sign starts an integer, so a space put before each sign makes
+# ``split()`` yield exactly the ``[+-]?[0-9]+`` integers.
+_SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]")
+_SCANF_BARE_SIGN = re.compile(r"[+-](?![0-9])")
 
 
 def read_pairs(text: str) -> list[tuple[int, int]]:
@@ -50,7 +52,11 @@ def read_pairs(text: str) -> list[tuple[int, int]]:
     longer than the interpreter's int-digit limit raises ValueError.
     """
     stop = _SCANF_STOP.search(text)
-    it = map(int, _SCANF_INT.findall(text, 0, stop.start() if stop else len(text)))
+    end = stop.start() if stop else len(text)
+    stop = _SCANF_BARE_SIGN.search(text, 0, end)
+    if stop:
+        end = stop.start()
+    it = map(int, text[:end].replace("+", " +").replace("-", " -").split())
     return list(zip(it, it))
 
 
@@ -95,8 +101,10 @@ class Scenario:
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")
             object.__setattr__(self, "length", len(self.values))
-            for v in self.values:
-                _check_int("values", v)
+            # One pass over the types; the per-value check names the culprit.
+            if set(map(type, self.values)) != {int}:
+                for v in self.values:
+                    _check_int("values", v)
         elif self.values:
             raise ValueError(f"values are for replay scenarios, got kind {self.kind!r}")
         _check_int("length", self.length, 1)
@@ -141,22 +149,23 @@ class Scenario:
 
 def generate(scenario: Scenario) -> list[tuple[int, int]]:
     """Expand a scenario into (event_time_seconds, observation) pairs."""
+    length = scenario.length
+    if scenario.kind == "replay":
+        values = scenario.values
+    else:
+        values = [scenario.value_at(t) for t in range(1, length + 1)]
     rng = random.Random(scenario.seed)
-    events = []
-    now = 0
-    for t in range(1, scenario.length + 1):
-        if t > 1:
-            gap = scenario.spacing
-            if scenario.pause_after is not None and t == scenario.pause_after + 1:
-                gap = scenario.pause_gap
-            now += gap
-        x = scenario.value_at(t)
-        if scenario.jitter == "uniform":
-            x += rng.randint(0, scenario.jitter_scale)
-        elif scenario.jitter == "exponential":
-            x += int(rng.expovariate(1.0 / scenario.jitter_scale))
-        events.append((now, x))
-    return events
+    if scenario.jitter == "uniform":
+        scale = scenario.jitter_scale
+        values = [x + rng.randint(0, scale) for x in values]
+    elif scenario.jitter == "exponential":
+        rate = 1.0 / scenario.jitter_scale
+        values = [x + int(rng.expovariate(rate)) for x in values]
+    spacing = scenario.spacing
+    # From the event after the pause on, the pause gap replaces one spacing.
+    pause = length if scenario.pause_after is None else scenario.pause_after
+    shift = scenario.pause_gap - spacing
+    return [(i * spacing + (shift if i >= pause else 0), x) for i, x in enumerate(values)]
 
 
 # The leading trace columns, shared with the ``smooth -w`` CSV.  ``%s``
@@ -234,6 +243,9 @@ def run(
     rows = []
     append = rows.append
     trend = smoother.trend
+    # tuple.__new__ builds the same TraceRow without the Python-level
+    # __new__ that the named tuple's constructor runs.
+    new_row = tuple.__new__
     for t, (now, x) in enumerate(events, start=1):
         clock.now = now
         if gate is not None:
@@ -243,8 +255,8 @@ def run(
             decision = None
             forecast = smoother.update(x)
         level, slope = trend()
-        append(TraceRow(t, x, forecast, smoother.n, smoother.s1, smoother.s2,
-                        level, slope, decision))
+        append(new_row(TraceRow, (t, x, forecast, smoother.n, smoother.s1, smoother.s2,
+                                  level, slope, decision)))
     return SimTrace(
         rows=rows,
         stats=gate.stats if gate is not None else None,

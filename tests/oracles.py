@@ -6,6 +6,7 @@ different from the library's.
 """
 
 import math
+import random
 from fractions import Fraction
 
 INT32_MAX = 2**31 - 1
@@ -40,6 +41,31 @@ def read_pairs_reference(text: str) -> list[tuple[int, int]]:
             break
         ints.append(int(text[start:i]))
     return [(ints[k], ints[k + 1]) for k in range(0, len(ints) - 1, 2)]
+
+
+def generate_reference(scenario) -> list[tuple[int, int]]:
+    """Event-by-event expansion of a scenario into (event_time, observation)
+    pairs: the clock advances by ``spacing`` before every event after the
+    first (by ``pause_gap`` before event ``pause_after + 1``), and jitter
+    draws from a PRNG seeded with ``seed``, one draw per event in order.
+    The per-index formula is the scenario's own ``value_at``, which the
+    generator tests pin on their own."""
+    rng = random.Random(scenario.seed)
+    events = []
+    now = 0
+    for t in range(1, scenario.length + 1):
+        if t > 1:
+            gap = scenario.spacing
+            if scenario.pause_after is not None and t == scenario.pause_after + 1:
+                gap = scenario.pause_gap
+            now += gap
+        x = scenario.value_at(t)
+        if scenario.jitter == "uniform":
+            x += rng.randint(0, scenario.jitter_scale)
+        elif scenario.jitter == "exponential":
+            x += int(rng.expovariate(1.0 / scenario.jitter_scale))
+        events.append((now, x))
+    return events
 
 
 def trunc_div(a: int, b: int) -> int:

@@ -178,6 +178,15 @@ class TestSmoothCommand:
         assert rc == 1
         assert "Error opening input file = /no/such/file.txt" in capsys.readouterr().err
 
+    def test_a_directory_input_is_refused(self, capsys, tmp_path):
+        # Unlike C: there fopen(dir, "r") succeeds on Linux, the first
+        # fscanf fails, and the header is printed with exit status 0.
+        rc = main(["smooth", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == f"Error opening input file = {tmp_path}\n"
+
     def test_help_lists_the_five_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["smooth", "-h"])

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from smoothgate import (
     ADMIT,
+    GENERATOR_KINDS,
     NEW_SESSION,
     GateDecision,
     GatePolicy,
@@ -18,7 +20,7 @@ from smoothgate import (
     run,
 )
 
-from oracles import read_pairs_reference
+from oracles import generate_reference, read_pairs_reference
 from tables import CANONICAL_TRACE, CANONICAL_VALUES, FLOAT_TABLE, RESET_TRACE
 
 
@@ -78,6 +80,49 @@ class TestGenerators:
         b = Scenario(kind="constant", length=50, level=0, jitter="uniform",
                      jitter_scale=100, seed=2)
         assert generate(a) != generate(b)
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
+    length = draw(st.integers(1, 30))
+    fields = dict(kind=kind, spacing=draw(st.integers(0, 3)), seed=draw(st.integers(0, 5)))
+    if kind == "replay":
+        fields["values"] = tuple(draw(st.lists(st.integers(-10**6, 10**6),
+                                               min_size=length, max_size=length)))
+    else:
+        level = draw(st.integers(0, 500))
+        # A ramp may not fall below zero by its last event.
+        least_slope = -(level // (length - 1)) if length > 1 else -50
+        fields.update(length=length, level=level, high=draw(st.integers(0, 900)),
+                      switch_at=draw(st.integers(1, length + 1)),
+                      burst_len=draw(st.integers(1, length)),
+                      slope=draw(st.integers(least_slope, 50)))
+    if length > 1:
+        pause_after = draw(st.one_of(st.sampled_from([None, 1, length - 1]),
+                                     st.integers(1, length - 1)))
+        if pause_after is not None:
+            fields.update(pause_after=pause_after, pause_gap=draw(st.integers(0, 9)))
+    jitter = draw(st.sampled_from([None, "uniform", "exponential"]))
+    if jitter is not None:
+        fields.update(jitter=jitter, jitter_scale=draw(st.integers(1, 60)))
+    return Scenario(**fields)
+
+
+class TestGenerateMatchesTheEventLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(scenarios())
+    @example(Scenario(kind="constant", length=1, level=7))
+    @example(Scenario(kind="replay", values=(5,), jitter="exponential", jitter_scale=9))
+    @example(Scenario(kind="ramp", length=6, level=3, slope=2, spacing=3,
+                      pause_after=1, pause_gap=0))
+    @example(Scenario(kind="step", length=6, level=3, high=9, switch_at=4, spacing=0,
+                      pause_after=5, pause_gap=4, jitter="uniform", jitter_scale=5, seed=2))
+    @example(Scenario(kind="burst", length=8, level=1, high=50, switch_at=3, burst_len=2,
+                      spacing=2, pause_after=4, pause_gap=7, jitter="exponential",
+                      jitter_scale=30, seed=4))
+    def test_same_events(self, scenario):
+        assert generate(scenario) == generate_reference(scenario)
 
 
 class TestScenarioValidation:
@@ -217,6 +262,16 @@ class TestTraceRowValue:
     def test_decision_defaults_to_none(self):
         assert TraceRow(1, 5, 5, 1, 5, 5, 5, 0).decision is None
 
+    @pytest.mark.parametrize("policy", [None, GatePolicy(threshold=600)])
+    def test_run_rows_are_trace_rows(self, policy):
+        rows = run(Scenario(kind="replay", values=tuple(CANONICAL_VALUES)),
+                   policy=policy).rows
+        for row in rows:
+            assert type(row) is TraceRow
+            assert row == TraceRow(*row)
+            assert tuple(getattr(row, name) for name in TraceRow._fields) == row
+            assert (row.decision is None) == (policy is None)
+
     def test_decision_of_a_gated_row_reports_admitted(self):
         row = run(Scenario(kind="constant", length=1, level=5),
                   policy=GatePolicy(threshold=10)).rows[0]
@@ -277,6 +332,30 @@ class TestReadPairs:
         # An integer ends at the first character that is not an ASCII
         # digit; only C-locale white space may come before the next one.
         assert read_pairs(text) == pairs
+
+    @pytest.mark.parametrize("text,pairs", [
+        ("1 2 -", [(1, 2)]),
+        ("1 2 -a", [(1, 2)]),
+        ("1+2 3-4", [(1, 2), (3, -4)]),
+        ("1 2 3 4-", [(1, 2), (3, 4)]),
+        ("9 8\x00 7 6", [(9, 8)]),
+        ("5 +-3", []),
+    ])
+    def test_stops_where_a_sign_or_a_stray_character_ends_the_read(self, text, pairs):
+        assert read_pairs(text) == pairs
+
+    def test_long_signed_stream_with_glued_signs(self):
+        rng = random.Random(9)
+        parts = []
+        for _ in range(10_000):
+            sign = rng.choice(["", "+", "-"])
+            # A signed integer may follow the previous one with no space.
+            sep = rng.choice(["", " ", "\n"]) if sign else rng.choice([" ", "\t", "\n"])
+            parts.append(sep + sign + str(rng.randrange(10**7)))
+        text = "".join(parts)
+        pairs = read_pairs(text)
+        assert len(pairs) == 5_000
+        assert pairs == read_pairs_reference(text)
 
 
 _SIGNS = st.sampled_from(["", "+", "-"])
