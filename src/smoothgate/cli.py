@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 import time
-from operator import itemgetter
 
 from .forecast import (
     DoubleExpSmoother,
@@ -182,7 +181,7 @@ def cmd_simulate(args) -> int:
     elif not replay_file:
         raise CliError("replay needs --replay-file")
     else:
-        options["values"] = tuple(map(itemgetter(1), _read_records(replay_file)))
+        options["values"] = tuple(v for _, v in _read_records(replay_file))
     policy_options = {k: options.pop(k) for k in _POLICY_OPTIONS if k in options}
     if policy_options and "threshold" not in policy_options:
         raise CliError("--mode and --delay-amount need --threshold")

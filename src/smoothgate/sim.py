@@ -101,10 +101,8 @@ class Scenario:
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")
             object.__setattr__(self, "length", len(self.values))
-            # One pass over the types; the per-value check names the culprit.
-            if set(map(type, self.values)) != {int}:
-                for v in self.values:
-                    _check_int("values", v)
+            for v in self.values:
+                _check_int("values", v)
         elif self.values:
             raise ValueError(f"values are for replay scenarios, got kind {self.kind!r}")
         _check_int("length", self.length, 1)
@@ -133,7 +131,8 @@ class Scenario:
                 raise ValueError("ramp leaves the non-negative range")
 
     def value_at(self, t: int) -> int:
-        """Generator formula at 1-based index t, before jitter."""
+        """Generator formula at 1-based index t, before jitter.  A replay
+        scenario has no formula: its observations are ``values``."""
         if self.kind == "constant":
             return self.level
         if self.kind == "step":
@@ -144,7 +143,7 @@ class Scenario:
             if self.switch_at <= t < self.switch_at + self.burst_len:
                 return self.high
             return self.level
-        return self.values[t - 1]
+        raise ValueError(f"a {self.kind!r} scenario has no generator formula")
 
 
 def generate(scenario: Scenario) -> list[tuple[int, int]]:

@@ -48,7 +48,8 @@ def generate_reference(scenario) -> list[tuple[int, int]]:
     pairs: the clock advances by ``spacing`` before every event after the
     first (by ``pause_gap`` before event ``pause_after + 1``), and jitter
     draws from a PRNG seeded with ``seed``, one draw per event in order.
-    The per-index formula is the scenario's own ``value_at``, which the
+    A replay scenario's observations are its ``values``; for the other kinds
+    the per-index formula is the scenario's own ``value_at``, which the
     generator tests pin on their own."""
     rng = random.Random(scenario.seed)
     events = []
@@ -59,7 +60,10 @@ def generate_reference(scenario) -> list[tuple[int, int]]:
             if scenario.pause_after is not None and t == scenario.pause_after + 1:
                 gap = scenario.pause_gap
             now += gap
-        x = scenario.value_at(t)
+        if scenario.kind == "replay":
+            x = scenario.values[t - 1]
+        else:
+            x = scenario.value_at(t)
         if scenario.jitter == "uniform":
             x += rng.randint(0, scenario.jitter_scale)
         elif scenario.jitter == "exponential":

@@ -56,6 +56,10 @@ class TestGenerators:
         assert s.length == 5
         assert [x for _, x in generate(s)] == [3, 1, 4, 1, 5]
 
+    def test_replay_has_no_generator_formula(self):
+        with pytest.raises(ValueError, match="no generator formula"):
+            Scenario(kind="replay", values=(3, 1)).value_at(1)
+
     def test_event_spacing_and_pause(self):
         events = generate(Scenario(kind="constant", length=5, level=1,
                                    pause_after=3, pause_gap=9, spacing=2))
