@@ -11,6 +11,7 @@ Subcommands:
 
 import argparse
 import functools
+import inspect
 import os
 import sys
 import time
@@ -34,10 +35,17 @@ CSV_TITLE = "Time Series Smoothing Algorithm"
 # %-formatting is cheaper per row than f-strings and renders the same text:
 # "%10d" equals "{:10d}" for every int.
 SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
-# Where cmd_simulate sends an option: the CLI, GatePolicy, run, or else Scenario.
-_CLI_OPTIONS = ("command", "output", "replay_file")
-_POLICY_OPTIONS = ("threshold", "mode", "delay_amount")
-_RUN_OPTIONS = ("n_alpha", "reset_interval")
+# trace --model NAME: the float model it runs, built from --alpha (--window for ma).
+_TRACE_MODELS = {"single": SingleExpSmoother, "double": DoubleExpSmoother, "ma": MovingAverage}
+# simulate's flags: the parameters of Scenario, GatePolicy and run, but the
+# three the CLI builds; read before a shim can take run's place here.
+_SIMULATE_PARAMS = tuple(
+    tuple(name for name in inspect.signature(target).parameters
+          if name not in ("values", "scenario", "policy"))
+    for target in (Scenario, GatePolicy, run)
+)
+# The flags that take a name; every other simulate flag takes an int.
+_SIMULATE_CHOICES = {"kind": GENERATOR_KINDS, "jitter": JITTER_KINDS, "mode": (DENY, DELAY)}
 
 
 class CliError(Exception):
@@ -63,10 +71,11 @@ def _read_records(path) -> list[tuple[int, int]]:
 
 
 def cmd_smooth(args) -> int:
-    for name in ("n_alpha", "reset_time", "reset_count"):
-        value = getattr(args, name)
-        if value is not None and value <= 0:
-            raise CliError(f"Invalid {name} = {value}")
+    # Like C, report every bad value, one line each (in -n, -r, -t order).
+    invalid = [f"Invalid {name} = {value}" for name in ("n_alpha", "reset_count", "reset_time")
+               if (value := getattr(args, name)) is not None and value <= 0]
+    if invalid:
+        raise CliError("\n".join(invalid))
     n_alpha, reset_time, reset_count = args.n_alpha, args.reset_time, args.reset_count
 
     # Open the CSV before reading the input, as C does: a bad -w fails first.
@@ -145,12 +154,8 @@ def cmd_trace(args) -> int:
         switch_at=args.switch_at,
         slope=args.slope,
     )
-    if args.model == "single":
-        model = SingleExpSmoother(args.alpha)
-    elif args.model == "double":
-        model = DoubleExpSmoother(args.alpha)
-    else:
-        model = MovingAverage(args.window)
+    model_type = _TRACE_MODELS[args.model]
+    model = model_type(args.window if model_type is MovingAverage else args.alpha)
 
     with_bias = args.model == "single" and args.series == "ramp"
     header = "t,observe,forecast" + (",bias" if with_bias else "")
@@ -173,7 +178,10 @@ def cmd_trace(args) -> int:
 def cmd_simulate(args) -> int:
     # An option left off the command line is absent from args, so Scenario,
     # GatePolicy and run apply their own defaults.
-    options = {k: v for k, v in vars(args).items() if k not in _CLI_OPTIONS}
+    given = vars(args)
+    scenario_options, policy_options, run_options = (
+        {name: given[name] for name in names if name in given} for names in _SIMULATE_PARAMS
+    )
     replay_file = getattr(args, "replay_file", None)
     if args.kind != "replay":
         if replay_file is not None:
@@ -181,12 +189,10 @@ def cmd_simulate(args) -> int:
     elif not replay_file:
         raise CliError("replay needs --replay-file")
     else:
-        options["values"] = tuple(v for _, v in _read_records(replay_file))
-    policy_options = {k: options.pop(k) for k in _POLICY_OPTIONS if k in options}
+        scenario_options["values"] = tuple(v for _, v in _read_records(replay_file))
     if policy_options and "threshold" not in policy_options:
         raise CliError("--mode and --delay-amount need --threshold")
-    run_options = {k: options.pop(k) for k in _RUN_OPTIONS if k in options}
-    scenario = Scenario(**options)
+    scenario = Scenario(**scenario_options)
     policy = GatePolicy(**policy_options) if policy_options else None
     trace = run(scenario, policy=policy, **run_options)
     _emit(args.output, trace.to_csv())
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("trace", help="float-model response to a step or ramp series")
-    p.add_argument("--model", choices=("single", "double", "ma"), required=True)
+    p.add_argument("--model", choices=tuple(_TRACE_MODELS), required=True)
     p.add_argument("--series", choices=("step", "ramp"), required=True)
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--window", type=int, default=20, help="moving-average window")
@@ -255,29 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
     # No defaults but --output's: cmd_simulate passes only the given options.
-    p = sub.add_parser("simulate", help="run a workload scenario, optionally gated",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
-    p.add_argument("--length", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--high", type=int)
-    p.add_argument("--switch-at", dest="switch_at", type=int)
-    p.add_argument("--slope", type=int)
-    p.add_argument("--burst-len", dest="burst_len", type=int)
+    p = sub.add_parser(
+        "simulate", help="run a workload scenario, optionally gated",
+        description="Each option but --replay-file and --output is the Scenario, GatePolicy "
+                    "or run parameter of the same name. --threshold turns the admission gate on.",
+        argument_default=argparse.SUPPRESS)
+    for names in _SIMULATE_PARAMS:
+        for name in names:
+            choices = _SIMULATE_CHOICES.get(name)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, required=name == "kind",
+                           type=None if choices else int, choices=choices)
     p.add_argument("--replay-file",
                    help="replay: '<count> <value>' file supplying the observations")
-    p.add_argument("--pause-after", dest="pause_after", type=int)
-    p.add_argument("--pause-gap", dest="pause_gap", type=int)
-    p.add_argument("--spacing", type=int, help="seconds between events")
-    p.add_argument("--jitter", choices=JITTER_KINDS)
-    p.add_argument("--jitter-scale", dest="jitter_scale", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-alpha", dest="n_alpha", type=int)
-    p.add_argument("--reset-interval", dest="reset_interval", type=int)
-    p.add_argument("--threshold", type=int,
-                   help="enable the admission gate at this forecast level")
-    p.add_argument("--mode", choices=(DENY, DELAY))
-    p.add_argument("--delay-amount", dest="delay_amount", type=int)
     p.add_argument("--output", default=None, help="trace CSV path (default stdout)")
 
     return parser

@@ -196,9 +196,6 @@ class SimTrace:
     rows: list[TraceRow]
     stats: GateStats | None = None
 
-    def forecasts(self) -> list[int]:
-        return [r.forecast for r in self.rows]
-
     def to_csv(self) -> str:
         """Verbose-trace CSV: the TRACE_COLUMNS, then the level/slope
         columns and, when a gate ran, the verdict."""

@@ -1,6 +1,8 @@
 import contextlib
+import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,22 @@ from tables import (
     RESET_TRACE,
     STARTUP_WEIGHT_ROWS,
 )
+
+
+# The library parameters that simulate takes as flags of the same name: all
+# of Scenario's, GatePolicy's and run's but the three the CLI builds itself.
+SIMULATE_PARAMS = [
+    name
+    for target in (Scenario, GatePolicy, run)
+    for name in inspect.signature(target).parameters
+    if name not in ("values", "scenario", "policy")
+]
+# One valid value of each simulate flag that takes a name, not an int.
+SIMULATE_CHOICE_PARAMS = {"kind": "ramp", "jitter": "uniform", "mode": "delay"}
+
+
+def long_flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def parse_report_rows(stdout: str):
@@ -156,6 +174,21 @@ class TestSmoothCommand:
         assert captured.out == ""
         assert "Invalid n_alpha = 0" in captured.err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["-n", "0", "-r", "0", "-t", "0"],
+        ["-n", "0", "-t", "-1"],
+    ])
+    def test_every_bad_flag_is_reported_as_the_c_oracle_does(
+        self, capsys, data_dir, c_oracle, flags
+    ):
+        source = str(data_dir / "canonical_input.txt")
+        proc = subprocess.run([str(c_oracle), *flags, source], capture_output=True, text=True)
+        rc = main(["smooth", *flags, source])
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert rc == 1
+        assert captured.err.count("Invalid ") == len(flags) // 2
 
     @pytest.mark.parametrize("flag,value,name", [
         ("-n", "-3", "n_alpha"),
@@ -480,6 +513,70 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "--replay-file needs --kind replay, got --kind constant\n"
+
+    def test_every_library_parameter_is_a_flag_of_the_same_name(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "-h"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {long_flag(n) for n in SIMULATE_PARAMS} | {
+            "--help", "--replay-file", "--output"}
+        for name in SIMULATE_PARAMS:
+            value = SIMULATE_CHOICE_PARAMS.get(name, "7")
+            args = cli.build_parser().parse_args(
+                ["simulate", "--kind", "constant", long_flag(name), value])
+            assert getattr(args, name) == (value if name in SIMULATE_CHOICE_PARAMS else 7)
+
+    @pytest.mark.parametrize("argv,scenario,options", [
+        # Each given value changes the trace: spacing 6 outlasts the default
+        # reset interval of 5, and the seed moves the jitter.
+        (["--kind", "ramp", "--slope", "3", "--spacing", "6", "--seed", "3",
+          "--jitter", "uniform", "--jitter-scale", "40"],
+         Scenario(kind="ramp", slope=3, spacing=6, seed=3, jitter="uniform", jitter_scale=40),
+         {}),
+        (["--kind", "burst", "--length", "30", "--level", "40", "--high", "900",
+          "--switch-at", "5", "--burst-len", "6", "--pause-after", "12", "--pause-gap", "9"],
+         Scenario(kind="burst", length=30, level=40, high=900, switch_at=5, burst_len=6,
+                  pause_after=12, pause_gap=9),
+         {}),
+        # The pause resets at reset interval 3 but not at the default 5.
+        (["--kind", "ramp", "--level", "10", "--slope", "7", "--jitter", "exponential",
+          "--jitter-scale", "20", "--seed", "5", "--pause-after", "10", "--pause-gap", "4",
+          "--n-alpha", "4", "--reset-interval", "3"],
+         Scenario(kind="ramp", level=10, slope=7, jitter="exponential", jitter_scale=20, seed=5,
+                  pause_after=10, pause_gap=4),
+         {"n_alpha": 4, "reset_interval": 3}),
+        (["--kind", "step", "--high", "900", "--threshold", "300", "--mode", "delay",
+          "--delay-amount", "4"],
+         Scenario(kind="step", high=900),
+         {"policy": GatePolicy(threshold=300, mode="delay", delay_amount=4)}),
+    ])
+    def test_each_given_value_reaches_the_library(self, capsys, argv, scenario, options):
+        assert main(["simulate", *argv]) == 0
+        captured = capsys.readouterr()
+        trace = run(scenario, **options)
+        assert captured.out == trace.to_csv()
+        summary = trace.stats.summary() if trace.stats else f"events={len(trace.rows)}"
+        assert captured.err == summary + "\n"
+
+    def test_delay_amount_reaches_the_policy(self, capsys):
+        # A delay's retry_after is not in the trace; the policy's own check is.
+        argv = ["simulate", "--kind", "constant", "--threshold", "5", "--delay-amount", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "delay_amount must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "name", [n for n in SIMULATE_PARAMS if n not in SIMULATE_CHOICE_PARAMS])
+    def test_a_non_integer_value_exits_2_with_usage(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--kind", "constant", long_flag(name), "1.5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: smoothgate simulate ")
+        assert f"argument {long_flag(name)}: invalid int value: '1.5'" in captured.err
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_at_call_time(

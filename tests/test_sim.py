@@ -201,7 +201,7 @@ class TestRun:
 
     def test_canonical_replay_matches_the_golden_forecasts(self):
         trace = run(Scenario(kind="replay", values=tuple(CANONICAL_VALUES)), n_alpha=10)
-        assert trace.forecasts() == [row[2] for row in CANONICAL_TRACE]
+        assert [r.forecast for r in trace.rows] == [row[2] for row in CANONICAL_TRACE]
 
     def test_runner_adds_no_hidden_state(self):
         scenario = ramp_scenario(pause_gap=4)  # below the reset interval
@@ -212,7 +212,7 @@ class TestRun:
         for when, x in generate(scenario):
             clock.now = when
             direct.append(sm.update(x))
-        assert trace.forecasts() == direct
+        assert [r.forecast for r in trace.rows] == direct
 
     def test_pause_longer_than_the_interval_restarts(self):
         trace = run(ramp_scenario(pause_gap=6), n_alpha=5, reset_interval=5)
@@ -227,7 +227,7 @@ class TestRun:
         scenario = Scenario(kind="replay", values=tuple(CANONICAL_VALUES))
         plain = run(scenario, n_alpha=10)
         gated = run(scenario, n_alpha=10, policy=GatePolicy(threshold=600))
-        assert plain.forecasts() == gated.forecasts()
+        assert [r.forecast for r in plain.rows] == [r.forecast for r in gated.rows]
         assert plain.stats is None
         assert gated.stats is not None
         assert all(r.decision is None for r in plain.rows)
