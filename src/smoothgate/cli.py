@@ -12,6 +12,7 @@ Subcommands:
 import argparse
 import functools
 import inspect
+import io
 import os
 import sys
 import time
@@ -56,11 +57,14 @@ def _open(path, mode: str):
     """Open a file a command was given, or raise CliError with C's message.
 
     Latin-1 maps every byte to one character, so input is read byte for
-    byte as C reads it.
+    byte as C reads it.  A directory opened for reading reads as empty:
+    C's fopen opens one on Linux, and its first fscanf fails.
     """
     try:
         return open(path, mode, encoding="latin-1")
-    except OSError:
+    except OSError as err:
+        if mode == "r" and isinstance(err, IsADirectoryError):
+            return io.StringIO()
         raise CliError(f"Error opening {'input' if mode == 'r' else 'output'} file = {path}")
 
 

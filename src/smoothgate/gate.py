@@ -8,7 +8,6 @@ Decisions are immutable named tuples: they compare, hash and unpack like
 ``(verdict, forecast_at_decision, request_kind, retry_after)``.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import _check_int
@@ -35,23 +34,49 @@ DENY = "deny"
 DELAY = "delay"
 
 
-@dataclass(frozen=True)
-class GatePolicy:
+class _Fields:
+    """Equality and repr over the fields named in ``__match_args__``, as a
+    dataclass has them.  The gate does without ``dataclasses``, whose import
+    loads ``inspect``, ``ast`` and ``dis``: most of the gate's import time."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GatePolicy(_Fields):
     """Overload threshold plus what happens to new sessions that exceed it.
 
     The threshold shares units with the observations fed to the smoother;
-    nothing converts between units here.
+    nothing converts between units here.  ``delay_amount`` is returned to
+    the caller in delay mode.  Immutable and hashable.
     """
 
-    threshold: int
-    mode: str = DENY
-    delay_amount: int = 0  # returned to the caller in delay mode
+    __match_args__ = ("threshold", "mode", "delay_amount")
 
-    def __post_init__(self):
-        _check_int("threshold", self.threshold, 1)
-        if self.mode not in (DENY, DELAY):
-            raise ValueError(f"mode must be {DENY!r} or {DELAY!r}, got {self.mode!r}")
-        _check_int("delay_amount", self.delay_amount, 0)
+    def __init__(self, threshold: int, mode: str = DENY, delay_amount: int = 0):
+        _check_int("threshold", threshold, 1)
+        if mode not in (DENY, DELAY):
+            raise ValueError(f"mode must be {DENY!r} or {DELAY!r}, got {mode!r}")
+        _check_int("delay_amount", delay_amount, 0)
+        self.__dict__.update(threshold=threshold, mode=mode, delay_amount=delay_amount)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class GateDecision(NamedTuple):
@@ -83,11 +108,16 @@ def decide(policy: GatePolicy, forecast: int, request_kind: str = NEW_SESSION) -
     return GateDecision(DENY, forecast, request_kind)
 
 
-@dataclass
-class GateStats:
-    admitted: int = 0
-    denied: int = 0
-    delayed: int = 0
+class GateStats(_Fields):
+    """Verdict counts; mutable, so compared by value but not hashable."""
+
+    __match_args__ = ("admitted", "denied", "delayed")
+    __hash__ = None
+
+    def __init__(self, admitted: int = 0, denied: int = 0, delayed: int = 0):
+        self.admitted = admitted
+        self.denied = denied
+        self.delayed = delayed
 
     @property
     def decisions(self) -> int:

@@ -211,14 +211,30 @@ class TestSmoothCommand:
         assert rc == 1
         assert "Error opening input file = /no/such/file.txt" in capsys.readouterr().err
 
-    def test_a_directory_input_is_refused(self, capsys, tmp_path):
-        # Unlike C: there fopen(dir, "r") succeeds on Linux, the first
-        # fscanf fails, and the header is printed with exit status 0.
-        rc = main(["smooth", str(tmp_path)])
+    @pytest.mark.parametrize("flags", [
+        [], ["-w", "out.csv"], ["-n", "3", "-r", "2", "-w", "out.csv"],
+    ])
+    def test_a_directory_input_reads_as_empty_as_the_c_oracle_does(
+        self, capsys, monkeypatch, tmp_path, c_oracle, flags
+    ):
+        # fopen(dir, "r") succeeds on Linux and the first fscanf fails, so
+        # C prints its header (and the -w CSV header) and exits 0.
+        source = tmp_path / "input_dir"
+        source.mkdir()
+        oracle_dir = tmp_path / "oracle"
+        oracle_dir.mkdir()
+        proc = subprocess.run([str(c_oracle), *flags, str(source)],
+                              capture_output=True, text=True, cwd=oracle_dir)
+        mine_dir = tmp_path / "mine"
+        mine_dir.mkdir()
+        monkeypatch.chdir(mine_dir)
+        rc = main(["smooth", *flags, str(source)])
         captured = capsys.readouterr()
-        assert rc == 1
-        assert captured.out == ""
-        assert captured.err == f"Error opening input file = {tmp_path}\n"
+        assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert rc == 0
+        assert captured.out.count("\n") == 4  # blank, title, parameters, columns
+        assert {p.name: p.read_bytes() for p in mine_dir.iterdir()} == {
+            p.name: p.read_bytes() for p in oracle_dir.iterdir()}
 
     def test_help_lists_the_five_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -494,6 +510,12 @@ class TestSimulateCommand:
         rc = main(["simulate", "--kind", "replay"])
         assert rc == 1
         assert "replay" in capsys.readouterr().err
+
+    def test_a_directory_replay_file_is_an_empty_replay(self, capsys, tmp_path):
+        rc = main(["simulate", "--kind", "replay", "--replay-file", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "replay scenario needs a non-empty values tuple\n"
 
     @pytest.mark.parametrize("options", [
         ["--mode", "delay"],

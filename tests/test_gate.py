@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from smoothgate import (
@@ -103,6 +105,53 @@ class TestPolicyValidation:
         fields = {"threshold": 600, "mode": DELAY, field: value}
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
             GatePolicy(**fields)
+
+
+class TestValueContracts:
+    """GatePolicy and GateStats behave as the field values they hold."""
+
+    def test_policies_compare_by_their_fields(self):
+        assert GatePolicy(600) == GatePolicy(threshold=600, mode=DENY, delay_amount=0)
+        assert GatePolicy(600) != GatePolicy(601)
+        assert GatePolicy(600, DELAY) != GatePolicy(600, DENY)
+        assert GatePolicy(600, DELAY, 5) != GatePolicy(600, DELAY, 6)
+        assert GatePolicy(600) != (600, DENY, 0)
+
+    def test_equal_policies_hash_equal(self):
+        assert hash(GatePolicy(600, DELAY, 5)) == hash(GatePolicy(600, DELAY, 5))
+        assert len({GatePolicy(600), GatePolicy(600), GatePolicy(601)}) == 2
+
+    def test_policy_repr(self):
+        assert repr(GatePolicy(600)) == "GatePolicy(threshold=600, mode='deny', delay_amount=0)"
+
+    @pytest.mark.parametrize("field", ["threshold", "mode", "delay_amount"])
+    def test_policy_fields_cannot_be_assigned(self, policy, field):
+        with pytest.raises(AttributeError):
+            setattr(policy, field, getattr(policy, field))
+        assert policy == GatePolicy(600)
+
+    def test_policy_signature(self):
+        params = inspect.signature(GatePolicy).parameters
+        assert list(params) == ["threshold", "mode", "delay_amount"]
+        assert params["threshold"].default is inspect.Parameter.empty
+        assert (params["mode"].default, params["delay_amount"].default) == ("deny", 0)
+
+    def test_stats_start_at_zero_and_take_keyword_counts(self):
+        fresh = GateStats()
+        assert (fresh.admitted, fresh.denied, fresh.delayed) == (0, 0, 0)
+        stats = GateStats(admitted=3, denied=2, delayed=1)
+        assert (stats.admitted, stats.denied, stats.delayed) == (3, 2, 1)
+
+    def test_stats_compare_by_value(self):
+        assert GateStats(3, 2, 1) == GateStats(admitted=3, denied=2, delayed=1)
+        assert GateStats(3, 2, 1) != GateStats(3, 2, 0)
+        assert GateStats() != (0, 0, 0)
+        with pytest.raises(TypeError):  # mutable counts have no hash
+            hash(GateStats())
+
+    def test_stats_repr(self):
+        assert repr(GateStats(admitted=3, denied=2, delayed=1)) == (
+            "GateStats(admitted=3, denied=2, delayed=1)")
 
 
 class TestGateStats:
