@@ -1,52 +1,49 @@
-"""Command-line front end.
+"""Command-line front end: the ``smooth``, ``weights``, ``trace`` and
+``simulate`` commands (listed in ``_COMMANDS``).
 
-Subcommands:
-
-    smooth    reference-compatible integer smoothing of a "<count> <value>"
-              input file (fixed-width stdout report, optional verbose CSV)
-    weights   weight-schedule tables for a given smoothing constant
-    trace     float-model responses to step/ramp series
-    simulate  scenario runner with an optional admission gate
+``smooth`` is the C program: it reads its arguments as that program's
+getopt loop does and loads only the integer kernel and the record reader.
+argparse, and the modules the other commands run, load only with them.
 """
 
-import argparse
 import functools
-import inspect
 import io
 import os
+import re
 import sys
 import time
 
-from .forecast import (
-    DoubleExpSmoother,
-    MovingAverage,
-    SingleExpSmoother,
-    initial_estimate_weights,
-    smoothing_weights,
-    startup_weights,
-)
-from .gate import DELAY, DENY, GatePolicy
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .sim import GENERATOR_KINDS, JITTER_KINDS, TRACE_COLUMNS, TRACE_ROW, Scenario
-from .sim import read_pairs, run  # by name: perfbench's span shims patch them here
+from .records import TRACE_COLUMNS, TRACE_ROW
+from .records import read_pairs  # by name: perfbench's span shims patch it here
 
+_COMMANDS = """\
+commands:
+  smooth    smooth a '<count> <value>' input file into a fixed-width report,
+            with the C program's flags (smoothgate smooth -h)
+  weights   emit the weight-schedule tables as CSV
+  trace     float-model response to a step or ramp series
+  simulate  run a workload scenario, optionally gated
+"""
+
+_SMOOTH_PROG = "smoothgate smooth"  # the C program's argv[0]
+_SMOOTH_USAGE = ("usage: %s [-h] [-n n_alpha] [-r reset_count] [-t reset_time] "
+                 "[-w csv_file] input_file\n" % _SMOOTH_PROG)
 SMOOTH_TITLE = "-----Time Series Smoothing Algorithm-----"
 SMOOTH_COLUMNS = "_____count_____observe_____forecast_____diff_____diffsum"
 CSV_TITLE = "Time Series Smoothing Algorithm"
 # %-formatting is cheaper per row than f-strings and renders the same text:
 # "%10d" equals "{:10d}" for every int.
 SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
-# trace --model NAME: the float model it runs, built from --alpha (--window for ma).
-_TRACE_MODELS = {"single": SingleExpSmoother, "double": DoubleExpSmoother, "ma": MovingAverage}
-# simulate's flags: the parameters of Scenario, GatePolicy and run, but the
-# three the CLI builds; read before a shim can take run's place here.
-_SIMULATE_PARAMS = tuple(
-    tuple(name for name in inspect.signature(target).parameters
-          if name not in ("values", "scenario", "policy"))
-    for target in (Scenario, GatePolicy, run)
-)
-# The flags that take a name; every other simulate flag takes an int.
-_SIMULATE_CHOICES = {"kind": GENERATOR_KINDS, "jitter": JITTER_KINDS, "mode": (DENY, DELAY)}
+# smooth's int options, by the name C's Invalid line gives each.
+_SMOOTH_INTS = {"n": "n_alpha", "r": "reset_count", "t": "reset_time"}
+# strtol(s, 0, 0): C-locale white space, a sign, then hex digits after 0x,
+# octal digits after 0, or decimal digits; it stops at the first other one.
+_STRTOL = re.compile(r"[ \t\n\v\f\r]*([+-]?)(?:0[xX]([0-9a-fA-F]+)|(0[0-7]*)|([0-9]*))")
+# trace --model NAME: the forecast class it runs, built from --alpha
+# (--window for ma).
+_TRACE_MODELS = {"single": "SingleExpSmoother", "double": "DoubleExpSmoother",
+                 "ma": "MovingAverage"}
 
 
 class CliError(Exception):
@@ -74,18 +71,107 @@ def _read_records(path) -> list[tuple[int, int]]:
         return read_pairs(fh.read())
 
 
-def cmd_smooth(args) -> int:
-    # Like C, report every bad value, one line each (in -n, -r, -t order).
-    invalid = [f"Invalid {name} = {value}" for name in ("n_alpha", "reset_count", "reset_time")
-               if (value := getattr(args, name)) is not None and value <= 0]
-    if invalid:
-        raise CliError("\n".join(invalid))
-    n_alpha, reset_time, reset_count = args.n_alpha, args.reset_time, args.reset_count
+def _getopt(args):
+    """Split ``args`` as glibc's ``getopt(argc, argv, "hn:r:t:w:")`` loop does.
 
-    # Open the CSV before reading the input, as C does: a bad -w fails first.
-    csv_file = _open(args.write_csv, "w") if args.write_csv else None
+    Returns the options as (letter, value) pairs in argv order, a rejected
+    one as ("?", glibc's message), and the operands, which glibc permutes
+    behind the options: a value is the rest of its cluster or the next
+    argument, and ``--`` ends the options.  ``--sim-clock``, the port's one
+    addition, comes as ("sim-clock", None).
+    """
+    options, operands = [], []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg == "--":
+            operands.extend(args[i:])
+            break
+        if arg == "--sim-clock":
+            options.append(("sim-clock", None))
+        elif arg[:2] == "--":
+            options.append(("?", f"unrecognized option '{arg}'"))
+        elif arg[:1] != "-" or arg == "-":
+            operands.append(arg)
+        else:
+            for j, letter in enumerate(arg[1:], start=2):
+                if letter not in "hnrtw":
+                    options.append(("?", f"invalid option -- '{letter}'"))
+                elif letter == "h":
+                    options.append(("h", None))
+                elif j < len(arg):
+                    options.append((letter, arg[j:]))
+                    break
+                elif i < len(args):
+                    options.append((letter, args[i]))
+                    i += 1
+                else:
+                    options.append(("?", f"option requires an argument -- '{letter}'"))
+    return options, operands
+
+
+def _c_int(text: str) -> int:
+    """The int C's ``strtol(text, 0, 0)`` gives when stored in an int.
+
+    strtol saturates at the 64-bit long's ends, and gcc converts the long
+    to int by keeping its low 32 bits, two's complement: "4294967301"
+    gives 5 and "99999999999999999999" gives -1.
+    """
+    sign, hex_digits, octal, decimal = _STRTOL.match(text).groups()
+    if hex_digits:
+        value = int(hex_digits, 16)
+    else:  # 20 decimal digits already pass the long's end
+        value = int(octal, 8) if octal else int(decimal[:20] or "0")
+    value = max(-2**63, min(-value if sign == "-" else value, 2**63 - 1))
+    return (value + 2**31) % 2**32 - 2**31
+
+
+def cmd_smooth(args) -> int:
+    """The C program's main on ``args``: its getopt loop, then the report.
+
+    Each option acts as the loop reaches it: a bad -n, -r or -t value gets
+    its Invalid line as typed, -w opens its file, -h prints the usage line.
+    Any of those errors, or -h, exits 1 once the loop is done; otherwise
+    the last operand is the input.
+    """
+    params = {"n_alpha": 10, "reset_count": 0, "reset_time": 5}
+    sim_clock = failed = False
+    csv_file = None
+    options, operands = _getopt(args)
     try:
-        records = _read_records(args.input)
+        for letter, value in options:
+            if letter in _SMOOTH_INTS:
+                name = _SMOOTH_INTS[letter]
+                params[name] = _c_int(value)
+                if params[name] <= 0:
+                    print(f"Invalid {name} = {value}", file=sys.stderr)
+                    failed = True
+            elif letter == "w":
+                # C keeps each earlier -w file, created and empty.
+                if csv_file:
+                    csv_file.close()
+                    csv_file = None
+                try:
+                    csv_file = _open(value, "w")
+                except CliError as err:
+                    print(err, file=sys.stderr)
+                    failed = True
+            elif letter == "h":
+                sys.stdout.write(_SMOOTH_USAGE)
+                failed = True
+            elif letter == "sim-clock":
+                sim_clock = True
+            else:
+                print(f"{_SMOOTH_PROG}: {value}", file=sys.stderr)
+                failed = True
+        if failed:
+            return 1
+        if not operands:
+            raise CliError(f"usage: {_SMOOTH_PROG} [opt-hn:r:t:w:] file name")
+        records = _read_records(operands[-1])
+        n_alpha, reset_count, reset_time = (
+            params["n_alpha"], params["reset_count"], params["reset_time"])
 
         out = sys.stdout
         out.write("\n")
@@ -104,7 +190,7 @@ def cmd_smooth(args) -> int:
             csv_file.write(line + "\n")
             csv_file.write(TRACE_COLUMNS + "\n")
 
-        if args.sim_clock:
+        if sim_clock:
             clock = ManualClock(0)
             pause = clock.advance
         else:
@@ -136,6 +222,8 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from .forecast import initial_estimate_weights, smoothing_weights, startup_weights
+
     decay = smoothing_weights(args.alpha, args.rows)
     split = initial_estimate_weights(args.alpha, args.rows)
     startup = startup_weights(args.alpha, args.rows)
@@ -150,6 +238,9 @@ def cmd_weights(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import forecast
+    from .sim import Scenario
+
     series = Scenario(
         kind=args.series,
         length=args.length,
@@ -158,8 +249,8 @@ def cmd_trace(args) -> int:
         switch_at=args.switch_at,
         slope=args.slope,
     )
-    model_type = _TRACE_MODELS[args.model]
-    model = model_type(args.window if model_type is MovingAverage else args.alpha)
+    model_type = getattr(forecast, _TRACE_MODELS[args.model])
+    model = model_type(args.window if model_type is forecast.MovingAverage else args.alpha)
 
     with_bias = args.model == "single" and args.series == "ramp"
     header = "t,observe,forecast" + (",bias" if with_bias else "")
@@ -179,12 +270,41 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def run(scenario, **options):
+    """``sim.run``, loaded by the first simulate command.  cmd_simulate
+    calls it by this name, so a wrapper set here runs in its place."""
+    from .sim import run
+
+    return run(scenario, **options)
+
+
+@functools.cache
+def _simulate_params() -> tuple:
+    """simulate's flags: the parameters of Scenario, GatePolicy and
+    IntSmoother, but the values and the clock that the CLI gives.  run
+    passes n_alpha and reset_interval to IntSmoother unchanged; its own
+    signature is not read, since a wrapper may stand in its place."""
+    import inspect
+
+    from .gate import GatePolicy
+    from .sim import Scenario
+
+    return tuple(
+        tuple(name for name in inspect.signature(target).parameters
+              if name not in ("values", "clock"))
+        for target in (Scenario, GatePolicy, IntSmoother)
+    )
+
+
 def cmd_simulate(args) -> int:
+    from .gate import GatePolicy
+    from .sim import Scenario
+
     # An option left off the command line is absent from args, so Scenario,
     # GatePolicy and run apply their own defaults.
     given = vars(args)
     scenario_options, policy_options, run_options = (
-        {name: given[name] for name in names if name in given} for names in _SIMULATE_PARAMS
+        {name: given[name] for name in names if name in given} for names in _simulate_params()
     )
     replay_file = getattr(args, "replay_file", None)
     if args.kind != "replay":
@@ -193,7 +313,10 @@ def cmd_simulate(args) -> int:
     elif not replay_file:
         raise CliError("replay needs --replay-file")
     else:
-        scenario_options["values"] = tuple(v for _, v in _read_records(replay_file))
+        values = tuple(v for _, v in _read_records(replay_file))
+        if not values:
+            raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
+        scenario_options["values"] = values
     if policy_options and "threshold" not in policy_options:
         raise CliError("--mode and --delay-amount need --threshold")
     scenario = Scenario(**scenario_options)
@@ -217,40 +340,27 @@ def _emit(path, text: str) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The parser of every command but smooth, which cmd_smooth reads."""
+    import argparse
+
+    from .gate import DELAY, DENY
+    from .sim import GENERATOR_KINDS, JITTER_KINDS
+
     parser = argparse.ArgumentParser(
         prog="smoothgate",
         description="Response-time forecasting and latency-threshold admission control.",
+        epilog=_COMMANDS, formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command",
+                               help="one of the commands below")
 
-    p = sub.add_parser(
-        "smooth",
-        help="smooth a '<count> <value>' input file (fixed-width report)",
-        description=(
-            "Run the integer smoother over an input file of '<count> <value>' "
-            "lines and print the fixed-width count/observe/forecast/diff/diffsum "
-            "report."
-        ),
-    )
-    p.add_argument("input", help="input file name")
-    p.add_argument("-n", dest="n_alpha", type=int, default=10,
-                   help="n_alpha - integer value of 1/alpha, default is 10")
-    p.add_argument("-r", dest="reset_count", type=int, default=None,
-                   help="reset smoother at count value plus one")
-    p.add_argument("-t", dest="reset_time", type=int, default=5,
-                   help="reset smoother time interval, default is 5 seconds")
-    p.add_argument("-w", dest="write_csv", metavar="CSV", default=None,
-                   help="write verbose output to comma delimited file")
-    p.add_argument("--sim-clock", action="store_true",
-                   help="advance a virtual clock instead of sleeping on -r")
-
-    p = sub.add_parser("weights", help="emit the weight-schedule tables as CSV")
+    p = sub.add_parser("weights")
     p.add_argument("--alpha", type=float, required=True, help="smoothing constant")
     p.add_argument("--rows", type=int, default=20, help="number of table rows")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
 
-    p = sub.add_parser("trace", help="float-model response to a step or ramp series")
+    p = sub.add_parser("trace")
     p.add_argument("--model", choices=tuple(_TRACE_MODELS), required=True)
     p.add_argument("--series", choices=("step", "ramp"), required=True)
     p.add_argument("--alpha", type=float, default=0.2)
@@ -266,15 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     # No defaults but --output's: cmd_simulate passes only the given options.
     p = sub.add_parser(
-        "simulate", help="run a workload scenario, optionally gated",
+        "simulate",
         description="Each option but --replay-file and --output is the Scenario, GatePolicy "
                     "or run parameter of the same name. --threshold turns the admission gate on.",
         argument_default=argparse.SUPPRESS)
-    for names in _SIMULATE_PARAMS:
+    # The flags that take a name; every other simulate flag takes an int.
+    choices = {"kind": GENERATOR_KINDS, "jitter": JITTER_KINDS, "mode": (DENY, DELAY)}
+    for names in _simulate_params():
         for name in names:
-            choices = _SIMULATE_CHOICES.get(name)
             p.add_argument("--" + name.replace("_", "-"), dest=name, required=name == "kind",
-                           type=None if choices else int, choices=choices)
+                           type=None if name in choices else int, choices=choices.get(name))
     p.add_argument("--replay-file",
                    help="replay: '<count> <value>' file supplying the observations")
     p.add_argument("--output", default=None, help="trace CSV path (default stdout)")
@@ -283,10 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["smooth"]:
+        command, args = "smooth", argv[1:]
+    else:
+        args = build_parser().parse_args(argv)
+        command = args.command
     try:
-        # By name, so a command shimmed after the parser was built still runs.
-        rc = globals()["cmd_" + args.command](args)
+        # By name, so a command shimmed after this module loaded still runs.
+        rc = globals()["cmd_" + command](args)
         # Flushed here, so a closed pipe raises below and not at exit.
         sys.stdout.flush()
         return rc

@@ -43,6 +43,10 @@ assert cli.main(["smooth", "--sim-clock", "-n", "5", "-r", "11",
 assert cli.main(["simulate", "--kind", "replay", "--replay-file", data,
                  "--pause-after", "12", "--pause-gap", "10", "--threshold", "600",
                  "--mode", "delay", "--delay-amount", "2"]) == 0
+try:
+    cli.main(["simulate", "-h"])  # the flag list, built after the shims went in
+except SystemExit as exit:
+    assert exit.code == 0
 if tracer is not None:
     totals = tracer.totals()
     (workdir / "calls.json").write_text(json.dumps({k: v["calls"] for k, v in totals.items()}))

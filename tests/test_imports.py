@@ -37,6 +37,23 @@ def test_the_gate_names_load_only_the_gate_modules():
     assert {m for m in added if m.partition(".")[0] == "smoothgate"} == GATE_MODULES
 
 
+def test_a_smooth_run_loads_only_the_kernel_and_the_reader(tmp_path):
+    source = tmp_path / "empty.txt"
+    source.write_text("")
+    added = _loaded_by(
+        "import io, sys\n"
+        "from smoothgate.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        f"rc = main(['smooth', '--sim-clock', {str(source)!r}])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "assert rc == 0\n")
+    assert not added & {"argparse", "inspect", "dataclasses",
+                        "smoothgate.sim", "smoothgate.gate", "smoothgate.forecast"}
+    assert {m for m in added if m.partition(".")[0] == "smoothgate"} == {
+        "smoothgate", "smoothgate.errors", "smoothgate.intsmooth", "smoothgate.records",
+        "smoothgate.cli"}
+
+
 def test_importing_the_package_loads_no_submodule():
     assert {m for m in _loaded_by("import smoothgate")
             if m.partition(".")[0] == "smoothgate"} == {"smoothgate"}
