@@ -278,21 +278,19 @@ def run(scenario, **options):
     return run(scenario, **options)
 
 
-@functools.cache
 def _simulate_params() -> tuple:
     """simulate's flags: the parameters of Scenario, GatePolicy and
     IntSmoother, but the values and the clock that the CLI gives.  run
     passes n_alpha and reset_interval to IntSmoother unchanged; its own
     signature is not read, since a wrapper may stand in its place."""
-    import inspect
-
     from .gate import GatePolicy
     from .sim import Scenario
 
+    init = IntSmoother.__init__.__code__
     return tuple(
-        tuple(name for name in inspect.signature(target).parameters
-              if name not in ("values", "clock"))
-        for target in (Scenario, GatePolicy, IntSmoother)
+        tuple(name for name in names if name not in ("values", "clock"))
+        for names in (Scenario.__match_args__, GatePolicy.__match_args__,
+                      init.co_varnames[1:init.co_argcount])
     )
 
 
@@ -323,10 +321,7 @@ def cmd_simulate(args) -> int:
     policy = GatePolicy(**policy_options) if policy_options else None
     trace = run(scenario, policy=policy, **run_options)
     _emit(args.output, trace.to_csv())
-    if trace.stats is not None:
-        summary = trace.stats.summary()
-    else:
-        summary = f"events={len(trace.rows)}"
+    summary = trace.stats.summary() if policy is not None else f"events={scenario.length}"
     print(summary, file=sys.stdout if args.output else sys.stderr)
     return 0
 

@@ -185,7 +185,7 @@ class MovingAverage:
 
     def __init__(self, window: int):
         self.window = _check_int("window", window, 1)
-        self._buf = deque(maxlen=window)
+        self._buf = deque(maxlen=min(window, sys.maxsize))  # a longer one never fills
 
     def update(self, x: float) -> float:
         self._buf.append(_check_finite(x))

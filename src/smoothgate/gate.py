@@ -36,8 +36,8 @@ DELAY = "delay"
 
 class _Fields:
     """Equality and repr over the fields named in ``__match_args__``, as a
-    dataclass has them.  The gate does without ``dataclasses``, whose import
-    loads ``inspect``, ``ast`` and ``dis``: most of the gate's import time."""
+    dataclass has them.  The gate and ``sim`` do without ``dataclasses``, whose
+    import loads ``inspect``, ``ast`` and ``dis``: most of the gate's import time."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -52,7 +52,20 @@ class _Fields:
         return f"{type(self).__qualname__}({fields})"
 
 
-class GatePolicy(_Fields):
+class _Frozen(_Fields):
+    """_Fields that cannot be assigned or deleted, hashed by their values."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GatePolicy(_Frozen):
     """Overload threshold plus what happens to new sessions that exceed it.
 
     The threshold shares units with the observations fed to the smoother;
@@ -68,15 +81,6 @@ class GatePolicy(_Fields):
             raise ValueError(f"mode must be {DENY!r} or {DELAY!r}, got {mode!r}")
         _check_int("delay_amount", delay_amount, 0)
         self.__dict__.update(threshold=threshold, mode=mode, delay_amount=delay_amount)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class GateDecision(NamedTuple):

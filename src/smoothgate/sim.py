@@ -1,19 +1,19 @@
 """Workload generators and a closed-loop scenario runner.
 
-Scenarios expand into (event_time, latency) streams; ``run`` feeds each
-stream through an integer smoother (and optionally an admission gate) on a
-simulated clock, recording one trace row per event.  The runner adds no
-state of its own: the forecast column always equals what the smoother
+Scenarios expand into (event_time, latency) streams; ``run`` returns a
+``SimTrace`` whose iteration feeds the stream through an integer smoother
+(and optionally an admission gate) on a simulated clock.  The runner adds
+no state of its own: the forecast column always equals what the smoother
 would produce fed the same (clock, observation) pairs directly.  Trace
 rows are immutable named tuples, so they compare and unpack like tuples.
 """
 
+import functools
 import random
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import _check_int
-from .gate import CongestionGate, GateDecision, GatePolicy, GateStats
+from .gate import CongestionGate, GateDecision, GatePolicy, GateStats, _Frozen
 from .intsmooth import IntSmoother, ManualClock
 from .records import TRACE_COLUMNS, TRACE_ROW, read_pairs
 
@@ -31,8 +31,8 @@ __all__ = [
 GENERATOR_KINDS = ("constant", "step", "ramp", "burst", "replay")
 JITTER_KINDS = ("uniform", "exponential")
 
-@dataclass(frozen=True)
-class Scenario:
+
+class Scenario(_Frozen):
     """Declarative observation-stream recipe.
 
     Events sit ``spacing`` seconds apart starting at time 0; a pause
@@ -47,31 +47,26 @@ class Scenario:
         replay    values[t-1]  (length is taken from the values)
 
     Optional jitter adds non-negative noise from a fixed-seed PRNG; all
-    deterministic comparisons run with jitter off.
+    deterministic comparisons run with jitter off.  Immutable and hashable.
     """
 
-    kind: str
-    length: int = 25
-    level: int = 0
-    high: int = 0
-    switch_at: int = 1
-    slope: int = 0
-    burst_len: int = 0
-    values: tuple[int, ...] = ()
-    pause_after: int | None = None
-    pause_gap: int = 0
-    spacing: int = 1
-    jitter: str | None = None
-    jitter_scale: int = 0
-    seed: int = 0
+    __match_args__ = ("kind", "length", "level", "high", "switch_at", "slope", "burst_len",
+                      "values", "pause_after", "pause_gap", "spacing", "jitter",
+                      "jitter_scale", "seed")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, length: int = 25, level: int = 0, high: int = 0,
+                 switch_at: int = 1, slope: int = 0, burst_len: int = 0,
+                 values: tuple[int, ...] = (), pause_after: int | None = None,
+                 pause_gap: int = 0, spacing: int = 1, jitter: str | None = None,
+                 jitter_scale: int = 0, seed: int = 0):
+        args = locals()  # the parameters, which __match_args__ lists in order
+        self.__dict__.update((name, args[name]) for name in self.__match_args__)
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "replay":
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")
-            object.__setattr__(self, "length", len(self.values))
+            self.__dict__["length"] = len(self.values)
             for v in self.values:
                 _check_int("values", v)
         elif self.values:
@@ -89,6 +84,11 @@ class Scenario:
         if self.jitter is not None and self.jitter not in JITTER_KINDS:
             raise ValueError(f"jitter must be one of {JITTER_KINDS}, got {self.jitter!r}")
         _check_int("jitter_scale", self.jitter_scale, 1 if self.jitter is not None else None)
+        # An exponential draw is at most 53*ln(2) ~ 36.7 times its scale (random()
+        # stays 2**-53 below 1), so up to 2**1018 every draw fits a float.
+        if self.jitter == "exponential" and self.jitter_scale > 2**1018:
+            raise ValueError("jitter_scale must be <= 2**1018 for exponential jitter, "
+                             f"got {self.jitter_scale}")
         # Synthetic generators model response times, which are non-negative.
         two_level = self.kind in ("step", "burst")
         _check_int("level", self.level, 0 if two_level or self.kind == "constant" else None)
@@ -156,17 +156,67 @@ class TraceRow(NamedTuple):
     decision: GateDecision | None = None
 
 
-@dataclass
 class SimTrace:
-    """Per-event record of a scenario run, serializable as CSV."""
+    """A scenario run, made as it is read; ``run`` builds one.
 
-    rows: list[TraceRow]
-    stats: GateStats | None = None
+    Each iteration runs the scenario afresh and yields one TraceRow per
+    event, absorbed by the smoother at the event's time on a simulated clock
+    (so idle gaps reset it) and, given a policy, judged by a gate as a new
+    session on the post-update forecast.  Every run yields the same rows.
+    """
+
+    def __init__(self, scenario: Scenario, n_alpha: int, reset_interval: int,
+                 policy: GatePolicy | None):
+        if not isinstance(scenario, Scenario):
+            raise TypeError(f"scenario must be a Scenario, got {type(scenario).__name__}")
+        if policy is not None and not isinstance(policy, GatePolicy):
+            raise TypeError(f"policy must be a GatePolicy or None, got {type(policy).__name__}")
+        IntSmoother(n_alpha, reset_interval)  # its checks, now and not at the first read
+        self.scenario = scenario
+        self.n_alpha = n_alpha
+        self.reset_interval = reset_interval
+        self.policy = policy
+        self._stats = None
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        clock = ManualClock()
+        smoother = IntSmoother(self.n_alpha, self.reset_interval, clock)
+        gate = CongestionGate(smoother, self.policy) if self.policy is not None else None
+        trend = smoother.trend
+        # tuple.__new__ builds the same TraceRow without the Python-level
+        # __new__ that the named tuple's constructor runs.
+        new_row = tuple.__new__
+        for t, (now, x) in enumerate(generate(self.scenario), start=1):
+            clock.now = now
+            if gate is not None:
+                decision = gate.observe_and_decide(x)
+                forecast = decision.forecast_at_decision
+            else:
+                decision = None
+                forecast = smoother.update(x)
+            level, slope = trend()
+            yield new_row(TraceRow, (t, x, forecast, smoother.n, smoother.s1, smoother.s2,
+                                     level, slope, decision))
+        if gate is not None:
+            self._stats = gate.stats
+
+    @functools.cached_property
+    def rows(self) -> list[TraceRow]:
+        """The rows of one run, made on first read and then kept."""
+        return list(self)
+
+    @property
+    def stats(self) -> GateStats | None:
+        """A finished run's verdict counts; None without a policy."""
+        if self._stats is None and self.policy is not None:
+            self.rows  # a finished run stores its stats
+        return self._stats
 
     def to_csv(self) -> str:
         """Verbose-trace CSV: the TRACE_COLUMNS, then the level/slope
-        columns and, when a gate ran, the verdict."""
-        gated = self.stats is not None
+        columns and, when a gate ran, the verdict.  Rows are formatted as a
+        run yields them, and none is kept."""
+        gated = self.policy is not None
         header = TRACE_COLUMNS + ",at,bt"
         if gated:
             header += ",decision"
@@ -174,7 +224,7 @@ class SimTrace:
         append = lines.append
         diffsum = 0
         # Unpacking a row is cheaper than reading its fields by name.
-        for t, observe, forecast, n, s1, s2, a, b, decision in self.rows:
+        for t, observe, forecast, n, s1, s2, a, b, decision in self:
             diff = observe - forecast
             diffsum += diff
             if gated:
@@ -193,34 +243,5 @@ def run(
     policy: GatePolicy | None = None,
 ) -> SimTrace:
     """Drive an integer smoother (and optional gate) through a scenario.
-
-    One smoother update per generated event, with the simulated clock set to
-    each event's timestamp so idle gaps exercise the smoother's reset rule.
-    Gate decisions, when a policy is given, treat every event as a
-    prospective new session judged against the post-update forecast.
-    """
-    events = generate(scenario)
-    clock = ManualClock()
-    smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_interval, clock=clock)
-    gate = CongestionGate(smoother, policy) if policy is not None else None
-    rows = []
-    append = rows.append
-    trend = smoother.trend
-    # tuple.__new__ builds the same TraceRow without the Python-level
-    # __new__ that the named tuple's constructor runs.
-    new_row = tuple.__new__
-    for t, (now, x) in enumerate(events, start=1):
-        clock.now = now
-        if gate is not None:
-            decision = gate.observe_and_decide(x)
-            forecast = decision.forecast_at_decision
-        else:
-            decision = None
-            forecast = smoother.update(x)
-        level, slope = trend()
-        append(new_row(TraceRow, (t, x, forecast, smoother.n, smoother.s1, smoother.s2,
-                                  level, slope, decision)))
-    return SimTrace(
-        rows=rows,
-        stats=gate.stats if gate is not None else None,
-    )
+    Returns at once, with the arguments checked: each read runs it."""
+    return SimTrace(scenario, n_alpha, reset_interval, policy)

@@ -496,6 +496,13 @@ class TestTraceCommand:
         lines = capsys.readouterr().out.splitlines()
         assert float(lines[10].split(",")[2]) == pytest.approx(70.0)
 
+    def test_a_window_past_sys_maxsize_averages_the_whole_series(self, capsys):
+        argv = ["trace", "--model", "ma", "--series", "step"]
+        assert main([*argv, "--window", "9223372036854775808"]) == 0
+        huge = capsys.readouterr()
+        assert main([*argv, "--window", "1000000"]) == 0
+        assert huge == capsys.readouterr()
+
     def test_invalid_alpha_rejected(self, capsys):
         rc = main(["trace", "--model", "single", "--series", "ramp", "--alpha", "2"])
         assert rc == 1
@@ -650,6 +657,16 @@ class TestSimulateCommand:
         assert captured.out == trace.to_csv()
         summary = trace.stats.summary() if trace.stats else f"events={len(trace.rows)}"
         assert captured.err == summary + "\n"
+
+    def test_an_exponential_jitter_scale_past_the_float_range_exits_1(self, capsys):
+        scale = "1" + "0" * 400
+        argv = ["simulate", "--kind", "constant", "--jitter", "exponential",
+                "--jitter-scale", scale]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"jitter_scale must be <= 2**1018 for exponential jitter, got {scale}\n")
 
     def test_delay_amount_reaches_the_policy(self, capsys):
         # A delay's retry_after is not in the trace; the policy's own check is.

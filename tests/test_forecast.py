@@ -323,6 +323,15 @@ class TestMovingAverage:
         assert math.isfinite(got)
         assert got == pytest.approx(mean, rel=1e-15)
 
+    def test_a_window_past_the_largest_deque_averages_all_seen(self):
+        # 2**63 is past sys.maxsize, deque's largest maxlen; such a window
+        # never fills, so it averages every observation, as a long one does.
+        huge, long = MovingAverage(2**63), MovingAverage(10**6)
+        assert huge.window == 2**63
+        for x in (3, -8, 1e300, 7.5, 2):
+            assert huge.update(x) == long.update(x)
+        assert len(huge) == 5
+
     def test_a_sum_inside_the_float_range_keeps_the_plain_mean(self):
         rng = random.Random(5)
         for window in (1, 2, 3, 7, 20):

@@ -54,6 +54,20 @@ def test_a_smooth_run_loads_only_the_kernel_and_the_reader(tmp_path):
         "smoothgate.cli"}
 
 
+def test_a_simulate_run_loads_neither_dataclasses_nor_inspect():
+    data = Path(__file__).parent / "data" / "canonical_input.txt"
+    added = _loaded_by(
+        "import io, sys\n"
+        "from smoothgate.cli import main\n"
+        "sys.stdout = io.StringIO()\n"
+        f"rc = main(['simulate', '--kind', 'replay', '--replay-file', {str(data)!r},\n"
+        "           '--threshold', '600'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "assert rc == 0\n")
+    assert "smoothgate.sim" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_importing_the_package_loads_no_submodule():
     assert {m for m in _loaded_by("import smoothgate")
             if m.partition(".")[0] == "smoothgate"} == {"smoothgate"}

@@ -1,5 +1,7 @@
+import inspect
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from smoothgate import (
     ADMIT,
     GENERATOR_KINDS,
     NEW_SESSION,
+    CongestionGate,
     GateDecision,
     GatePolicy,
     IntSmoother,
@@ -18,6 +21,7 @@ from smoothgate import (
     generate,
     read_pairs,
     run,
+    sim,
 )
 
 from oracles import generate_reference, read_pairs_reference
@@ -185,6 +189,22 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"^values must be an int, got {type(value).__name__}$"):
             Scenario(kind="replay", values=(3, value, 4))
 
+    def test_an_exponential_jitter_scale_past_the_float_range_is_refused(self):
+        # The largest exponential draw is ~36.7 times the scale, computed in
+        # floats: 10**400 raised OverflowError in generate.
+        for scale in (10**400, 2**1018 + 1):
+            with pytest.raises(ValueError, match=r"^jitter_scale must be <= 2\*\*1018 for "
+                                                 r"exponential jitter, got \d+$"):
+                Scenario(kind="constant", jitter="exponential", jitter_scale=scale)
+        Scenario(kind="constant", jitter="uniform", jitter_scale=10**400)
+
+    def test_the_largest_exponential_jitter_scale_draws_finite_values(self, monkeypatch):
+        # random() at its largest, 1 - 2**-53, gives the largest draw.
+        monkeypatch.setattr(random.Random, "random", lambda self: 1 - 2**-53)
+        scenario = Scenario(kind="constant", length=2, jitter="exponential",
+                            jitter_scale=2**1018)
+        assert all(x > 2**1022 for _, x in generate(scenario))
+
     def test_fractional_seconds_are_refused_not_truncated(self):
         # A 5.5 s gap used to read as 6.5 on the clock, truncated to 6.
         with pytest.raises(TypeError, match="^pause_gap must be an int, got float$"):
@@ -193,7 +213,73 @@ class TestScenarioValidation:
             Scenario(kind="constant", spacing=0.5)
 
 
+class TestScenarioValue:
+    """A Scenario behaves as the field values it holds."""
+
+    def test_match_args_list_the_parameters_in_order(self):
+        params = inspect.signature(Scenario).parameters
+        assert Scenario.__match_args__ == tuple(params) == (
+            "kind", "length", "level", "high", "switch_at", "slope", "burst_len", "values",
+            "pause_after", "pause_gap", "spacing", "jitter", "jitter_scale", "seed")
+        assert params["kind"].default is inspect.Parameter.empty
+        assert {name: p.default for name, p in params.items() if name != "kind"} == dict(
+            length=25, level=0, high=0, switch_at=1, slope=0, burst_len=0, values=(),
+            pause_after=None, pause_gap=0, spacing=1, jitter=None, jitter_scale=0, seed=0)
+
+    def test_scenarios_compare_and_hash_by_their_fields(self):
+        a = Scenario(kind="ramp", slope=3)
+        assert a == Scenario("ramp", 25, 0, 0, 1, 3)
+        assert a != Scenario(kind="ramp", slope=4)
+        assert a != ("ramp", 25, 0, 0, 1, 3, 0, (), None, 0, 1, None, 0, 0)
+        assert hash(a) == hash(Scenario(kind="ramp", slope=3))
+        assert len({a, Scenario(kind="ramp", slope=3), Scenario(kind="step")}) == 2
+        assert Scenario(kind="replay", values=(4, 5)) == Scenario(kind="replay", values=(4, 5),
+                                                                  length=9)
+
+    def test_scenario_repr(self):
+        assert repr(Scenario(kind="replay", values=(4, 5))) == (
+            "Scenario(kind='replay', length=2, level=0, high=0, switch_at=1, slope=0, "
+            "burst_len=0, values=(4, 5), pause_after=None, pause_gap=0, spacing=1, "
+            "jitter=None, jitter_scale=0, seed=0)")
+
+    @pytest.mark.parametrize("field", ["kind", "length", "values", "seed"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        scenario = Scenario(kind="constant", level=5)
+        with pytest.raises(AttributeError):
+            setattr(scenario, field, getattr(scenario, field))
+        with pytest.raises(AttributeError):
+            delattr(scenario, field)
+        assert scenario == Scenario(kind="constant", level=5)
+
+    def test_match_binds_the_fields_by_position(self):
+        match Scenario(kind="burst", length=9, level=2, high=7, burst_len=3):
+            case Scenario("burst", length, level, high):
+                assert (length, level, high) == (9, 2, 7)
+            case _:
+                pytest.fail("no match")
+
+
 class TestRun:
+    @pytest.mark.parametrize("args,options,message", [
+        (("ramp",), {}, "scenario must be a Scenario, got str"),
+        ((None,), {}, "scenario must be a Scenario, got NoneType"),
+        ((Scenario(kind="ramp"),), {"policy": 600}, "policy must be a GatePolicy or None, got int"),
+        ((Scenario(kind="ramp"),), {"policy": (600, "deny", 0)},
+         "policy must be a GatePolicy or None, got tuple"),
+        ((Scenario(kind="ramp"),), {"n_alpha": 2.0}, "n_alpha must be an int, got float"),
+    ])
+    def test_arguments_of_the_wrong_type_are_refused_at_the_call(self, args, options, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            run(*args, **options)
+
+    @pytest.mark.parametrize("options,message", [
+        ({"n_alpha": 0}, "n_alpha must be >= 1, got 0"),
+        ({"reset_interval": -1}, "reset_interval must be >= 0, got -1"),
+    ])
+    def test_out_of_range_smoother_options_are_refused_at_the_call(self, options, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(Scenario(kind="ramp"), **options)
+
     def test_reset_scenario_reproduces_the_golden_table(self):
         trace = run(ramp_scenario(), n_alpha=5, reset_interval=5)
         rows = [(r.t, r.observe, r.forecast, r.n, r.s1, r.s2, r.a, r.b) for r in trace.rows]
@@ -304,6 +390,71 @@ class TestTraceSerialization:
         lines = trace.to_csv().splitlines()
         assert lines[0].endswith(",decision")
         assert lines[1].endswith(",deny")
+
+
+class TestTraceIsMadeAsItIsRead:
+    SCENARIO = Scenario(kind="replay", values=tuple(CANONICAL_VALUES), pause_after=12,
+                        pause_gap=9)
+    POLICY = GatePolicy(threshold=600, mode="delay", delay_amount=2)
+
+    def test_run_returns_at_once_and_rows_are_made_on_first_read(self, monkeypatch):
+        runs = []
+        real = sim.generate
+        monkeypatch.setattr(sim, "generate", lambda scenario: runs.append(1) or real(scenario))
+        trace = run(self.SCENARIO, policy=self.POLICY)
+        assert runs == []
+        rows = trace.rows
+        assert trace.rows is rows
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("policy", [None, POLICY])
+    def test_every_iteration_yields_the_rows(self, policy):
+        trace = run(self.SCENARIO, n_alpha=4, reset_interval=3, policy=policy)
+        first = list(trace)
+        assert len(first) == len(CANONICAL_VALUES)
+        assert list(trace) == first == trace.rows
+        assert all(type(row) is TraceRow for row in first)
+
+    @pytest.mark.parametrize("policy", [None, POLICY])
+    def test_csv_is_the_same_before_and_after_the_rows_are_read(self, policy):
+        trace = run(self.SCENARIO, policy=policy)
+        before = trace.to_csv()
+        trace.rows
+        assert trace.to_csv() == before
+        assert before == run(self.SCENARIO, policy=policy).to_csv()
+
+    def test_stats_are_those_of_a_gate_fed_the_same_events(self):
+        clock = ManualClock()
+        gate = CongestionGate(IntSmoother(n_alpha=10, reset_interval=5, clock=clock),
+                              self.POLICY)
+        for now, x in generate(self.SCENARIO):
+            clock.now = now
+            gate.observe_and_decide(x)
+        stats_first = run(self.SCENARIO, policy=self.POLICY)
+        stats = stats_first.stats
+        csv_first = run(self.SCENARIO, policy=self.POLICY)
+        csv_first.to_csv()
+        assert stats == csv_first.stats == gate.stats
+        assert stats.delayed > 0
+        assert stats_first.to_csv() == csv_first.to_csv()
+        assert run(self.SCENARIO).stats is None
+
+    def test_a_gated_csv_keeps_no_row_per_event(self):
+        # A lognormal replay long enough that per-event objects dominate:
+        # a TraceRow and a GateDecision per event came to ~11 bytes per
+        # CSV byte, formatting rows as they are made to ~4.3.
+        rng = random.Random(5)
+        values = tuple(int(rng.lognormvariate(6, 0.5)) for _ in range(20_000))
+        scenario = Scenario(kind="replay", values=values, pause_after=10_000, pause_gap=9)
+        policy = GatePolicy(threshold=600)
+        tracemalloc.start()
+        try:
+            csv = run(scenario, policy=policy).to_csv()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv.count("\n") == 20_001
+        assert peak < 7 * len(csv)
 
 
 class TestReadPairs:
