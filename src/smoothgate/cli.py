@@ -14,7 +14,7 @@ import sys
 import time
 
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .records import TRACE_COLUMNS, TRACE_ROW
+from .records import TRACE_COLUMNS, TRACE_ROW, stream_pairs
 from .records import read_pairs  # by name: perfbench's span shims patch it here
 
 _COMMANDS = """\
@@ -53,22 +53,17 @@ class CliError(Exception):
 def _open(path, mode: str):
     """Open a file a command was given, or raise CliError with C's message.
 
-    Latin-1 maps every byte to one character, so input is read byte for
-    byte as C reads it.  A directory opened for reading reads as empty:
-    C's fopen opens one on Linux, and its first fscanf fails.
+    Input ("rb") is bytes, which the readers decode as Latin-1: that maps
+    every byte to one character, so input is read byte for byte as C reads
+    it.  A directory opened for reading reads as empty: C's fopen opens one
+    on Linux, and its first fscanf fails.
     """
     try:
-        return open(path, mode, encoding="latin-1")
+        return open(path, mode) if mode == "rb" else open(path, mode, encoding="latin-1")
     except OSError as err:
-        if mode == "r" and isinstance(err, IsADirectoryError):
-            return io.StringIO()
-        raise CliError(f"Error opening {'input' if mode == 'r' else 'output'} file = {path}")
-
-
-def _read_records(path) -> list[tuple[int, int]]:
-    """The "<count> <value>" pairs of an input file; CliError if unopenable."""
-    with _open(path, "r") as fh:
-        return read_pairs(fh.read())
+        if mode == "rb" and isinstance(err, IsADirectoryError):
+            return io.BytesIO()
+        raise CliError(f"Error opening {'input' if mode == 'rb' else 'output'} file = {path}")
 
 
 def _getopt(args):
@@ -137,7 +132,7 @@ def cmd_smooth(args) -> int:
     """
     params = {"n_alpha": 10, "reset_count": 0, "reset_time": 5}
     sim_clock = failed = False
-    csv_file = None
+    csv_file = source = None
     options, operands = _getopt(args)
     try:
         for letter, value in options:
@@ -169,7 +164,7 @@ def cmd_smooth(args) -> int:
             return 1
         if not operands:
             raise CliError(f"usage: {_SMOOTH_PROG} [opt-hn:r:t:w:] file name")
-        records = _read_records(operands[-1])
+        source = _open(operands[-1], "rb")
         n_alpha, reset_count, reset_time = (
             params["n_alpha"], params["reset_count"], params["reset_time"])
 
@@ -203,7 +198,8 @@ def cmd_smooth(args) -> int:
         csv_write = csv_file.write if csv_file else None
         csv_row = TRACE_ROW + "\n"
         diffsum = 0
-        for count, xt in records:
+        # Each record is updated, on the clock, as the reader yields it.
+        for count, xt in stream_pairs(source):
             ft = update(xt)
             diff = xt - ft
             diffsum += diff
@@ -216,8 +212,9 @@ def cmd_smooth(args) -> int:
             if reset_count and count == reset_count:
                 pause(reset_time + 1)
     finally:
-        if csv_file:
-            csv_file.close()
+        for fh in (csv_file, source):
+            if fh:
+                fh.close()
     return 0
 
 
@@ -311,7 +308,8 @@ def cmd_simulate(args) -> int:
     elif not replay_file:
         raise CliError("replay needs --replay-file")
     else:
-        values = tuple(v for _, v in _read_records(replay_file))
+        with _open(replay_file, "rb") as fh:
+            values = tuple(v for _, v in read_pairs(fh.read().decode("latin-1")))
         if not values:
             raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
         scenario_options["values"] = values

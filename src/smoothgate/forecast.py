@@ -117,8 +117,11 @@ class FloatSmoother:
     For a finite stream s1 and s2 stay finite: a running mean or convex
     update that rounds past the float range is saturated to the largest
     finite float of its sign.  The extrapolated forecast a + b and the
-    ``trend()`` pair can still leave the float range once the level or
-    slope exceeds it.
+    ``trend()`` pair can still leave the float range while s1 and s2 are
+    finite: ``2.0*s1`` overflows once |s1| exceeds half of
+    ``sys.float_info.max``, so a constant stream at 0.75 of it gives an
+    infinite level and forecast after startup, with s1, s2 and the slope
+    finite.
     """
 
     def __init__(self, alpha: float):

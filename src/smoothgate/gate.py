@@ -96,6 +96,11 @@ class GateDecision(NamedTuple):
         return self.verdict == ADMIT
 
 
+# tuple.__new__ builds the same GateDecision without the Python-level
+# __new__ that the named tuple's constructor runs.
+_new_tuple = tuple.__new__
+
+
 def decide(policy: GatePolicy, forecast: int, request_kind: str = NEW_SESSION) -> GateDecision:
     """Pure admission verdict for one request.
 
@@ -106,10 +111,10 @@ def decide(policy: GatePolicy, forecast: int, request_kind: str = NEW_SESSION) -
     if request_kind not in _REQUEST_KINDS:
         raise ValueError(f"unknown request kind {request_kind!r}")
     if request_kind == IN_PROGRESS or forecast <= policy.threshold:
-        return GateDecision(ADMIT, forecast, request_kind)
+        return _new_tuple(GateDecision, (ADMIT, forecast, request_kind, None))
     if policy.mode == DELAY:
-        return GateDecision(DELAY, forecast, request_kind, retry_after=policy.delay_amount)
-    return GateDecision(DENY, forecast, request_kind)
+        return _new_tuple(GateDecision, (DELAY, forecast, request_kind, policy.delay_amount))
+    return _new_tuple(GateDecision, (DENY, forecast, request_kind, None))
 
 
 class GateStats(_Fields):

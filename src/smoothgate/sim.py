@@ -207,9 +207,11 @@ class SimTrace:
 
     @property
     def stats(self) -> GateStats | None:
-        """A finished run's verdict counts; None without a policy."""
+        """A finished run's verdict counts; None without a policy.  Read
+        before any run has finished, it runs the trace and keeps no row."""
         if self._stats is None and self.policy is not None:
-            self.rows  # a finished run stores its stats
+            for _ in self:  # a finished run stores its stats
+                pass
         return self._stats
 
     def to_csv(self) -> str:

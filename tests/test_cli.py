@@ -313,6 +313,22 @@ class TestSmoothReadsInputAsTheCOracle:
         assert (work / "port.csv").read_bytes() == (work / "c.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("data", [b"-", b"+", b"- 1 2", b"+\n1 2", b"-\n3 4"])
+    def test_a_leading_bare_sign_ends_the_read_as_in_the_c_oracle(self, c_oracle, tmp_path,
+                                                                  data):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        proc = subprocess.run([str(c_oracle), "-w", str(tmp_path / "c.csv"), str(path)],
+                              capture_output=True, check=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["smooth", "-w", str(tmp_path / "port.csv"), str(path)])
+        assert rc == 0
+        assert out.getvalue().encode() == proc.stdout
+        assert out.getvalue().count("\n") == 4  # the header only
+        assert (tmp_path / "port.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
 def smooth_and_c(c_oracle, workdir: Path, argv, files: dict) -> list:
     """Run ``smooth`` in process and the C program on argv, each in a
     directory of its own under workdir that holds ``files``.

@@ -160,6 +160,21 @@ class TestFiniteStatistics:
         assert not math.isnan(sum(m.trend()))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("fraction", [0.49, -0.49, 0.51, -0.51, 0.75, -0.75])
+    def test_the_level_leaves_the_range_once_s1_passes_half_of_it(self, alpha, fraction):
+        # 2.0*s1 overflows although s1, s2 and the exact 2*s1 - s2 are finite.
+        m = FloatSmoother(alpha)
+        x = fraction * self.BIG
+        for _ in range(m.n_alpha + 3):
+            got = m.update(x)
+        level, slope = m.trend()
+        assert math.isfinite(m.s1) and math.isfinite(m.s2) and math.isfinite(slope)
+        finite = abs(m.s1) <= self.BIG / 2
+        assert finite == (abs(fraction) < 0.5)
+        assert math.isfinite(level) == math.isfinite(got) == finite
+        assert m.forecast == got
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("startup", ["float", "double"])
     def test_statistics_stay_finite_and_match_the_oracle_until_it_overflows(
             self, alpha, startup):

@@ -205,3 +205,19 @@ class TestCongestionGate:
             gate.observe_and_decide(5000, "bogus")
         assert (vars(smoother), vars(gate.stats)) == before
         assert (smoother.n, smoother.forecast) == (1, 50)
+
+
+class TestDecisionObjects:
+    @pytest.mark.parametrize("policy,forecast,kind", [
+        (GatePolicy(600), 599, NEW_SESSION),
+        (GatePolicy(600), 601, NEW_SESSION),
+        (GatePolicy(600), 601, IN_PROGRESS),
+        (GatePolicy(600, DELAY, 7), 601, NEW_SESSION),
+    ])
+    def test_decide_returns_the_named_tuple_its_constructor_builds(self, policy, forecast, kind):
+        d = decide(policy, forecast, kind)
+        assert type(d) is GateDecision
+        retry_after = policy.delay_amount if d.verdict == DELAY else None
+        assert d == GateDecision(d.verdict, forecast, kind, retry_after)
+        assert d._asdict() == {"verdict": d.verdict, "forecast_at_decision": forecast,
+                               "request_kind": kind, "retry_after": retry_after}

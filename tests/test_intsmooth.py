@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from smoothgate import (
@@ -225,3 +228,21 @@ class TestCrossCheckWithCOracle:
             ]
             sm = IntSmoother(n_alpha=n_alpha, clock=ManualClock(0))
             assert got == [sm.update(x) for x in xs], f"case {case} n_alpha={n_alpha}"
+
+
+class TestDefaults:
+    """The library's defaults are the C reference's."""
+
+    C_SOURCE = (Path(__file__).parent / "reference" / "time_series_smooth.c").read_text()
+
+    def c_define(self, name: str) -> int:
+        return int(re.search(rf"^#define {name} (\d+)$", self.C_SOURCE, re.M).group(1))
+
+    def test_smoother_defaults_are_n_alpha_and_reset_time_of_the_c_program(self):
+        sm = IntSmoother()
+        assert sm.n_alpha == self.c_define("N_ALPHA")
+        assert sm.reset_interval == self.c_define("RESET_TIME")
+
+    def test_manual_clock_starts_at_zero(self):
+        clock = ManualClock()
+        assert clock() == clock.now == 0

@@ -1,0 +1,109 @@
+"""The streaming record reader: whatever the buffers' sizes, it yields what
+C's fscanf loop reads, each pair once the buffer that completes it arrives."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from smoothgate import records
+from smoothgate.records import read_pairs, stream_pairs
+
+from oracles import read_pairs_reference
+
+
+class Buffers:
+    """A binary stream whose read1() returns at most ``size`` bytes, or the
+    given chunks one per call."""
+
+    def __init__(self, data=b"", size=1, chunks=None):
+        self.chunks = list(chunks) if chunks is not None else [
+            data[i:i + size] for i in range(0, len(data), size)]
+        self.calls = 0
+
+    def read1(self, size=-1):
+        assert size == -1
+        self.calls += 1
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+# White space, signs, digits and stray characters, as bytes read as Latin-1.
+_BYTES = st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c", b"+", b"-",
+                          b"x", b"\x00", b"\x1c", b"\xa0", b"\xff", b"."])
+_DIGITS = st.sampled_from([b"0", b"1", b"7", b"9", b"12", b"305", b"40000"])
+byte_texts = st.lists(st.one_of(_BYTES, _DIGITS, _DIGITS), max_size=40).map(b"".join)
+
+
+class TestStreamPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(data=byte_texts)
+    @example(data=b"1 2 -")
+    @example(data=b"1 2 3 4-")
+    @example(data=b"12 -5 3 +7\n")
+    @example(data=b"5 +-3")
+    @example(data=b"1 2 3 - 4 5")
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+    def test_any_buffer_size_reads_as_c_does(self, size, data):
+        expected = read_pairs_reference(data.decode("latin-1"))
+        assert list(stream_pairs(Buffers(data, size))) == expected
+
+    def test_a_long_stream_reads_as_read_pairs_does(self):
+        data = b"".join(b"%d %d\n" % (i, (i * 7919) % 100_003 - 50_000) for i in range(5_000))
+        expected = read_pairs(data.decode("latin-1"))
+        assert len(expected) == 5_000
+        for size in (7, 4096, len(data)):
+            assert list(stream_pairs(Buffers(data, size))) == expected
+
+    def test_each_pair_comes_with_the_buffer_that_completes_it(self):
+        stream = Buffers(chunks=[b"1 10\n2 2", b"0\n3 30", b"\n4", b" 40 5 ", b"50 "])
+        pairs = stream_pairs(stream)
+        for pair, calls in [((1, 10), 1), ((2, 20), 2), ((3, 30), 3), ((4, 40), 4),
+                            ((5, 50), 5)]:
+            assert (next(pairs), stream.calls) == (pair, calls)
+        assert list(pairs) == [] and stream.calls == 6
+
+    def test_a_sign_ending_a_buffer_waits_for_its_digit(self):
+        assert list(stream_pairs(Buffers(chunks=[b"1 -", b"5 +", b"", b"7"]))) == [(1, -5)]
+        assert list(stream_pairs(Buffers(chunks=[b"1 -", b"5 +", b"7"]))) == [(1, -5)]
+        assert list(stream_pairs(Buffers(chunks=[b"1 2 3 +", b"4"]))) == [(1, 2), (3, 4)]
+        assert list(stream_pairs(Buffers(chunks=[b"1 2 3 +", b"-4"]))) == [(1, 2)]
+
+    def test_nothing_is_read_past_the_stop(self):
+        data = b"1 2 3 4 x" + b" 5 6" * 1_000
+        stream = Buffers(data, 1)
+        assert list(stream_pairs(stream)) == [(1, 2), (3, 4)]
+        assert stream.calls == data.index(b"x") + 1
+
+    def test_an_over_long_literal_raises_after_the_pairs_before_it(self):
+        data = b"1 2 3 " + b"9" * 4400 + b" 4"
+        with pytest.raises(ValueError):
+            read_pairs(data.decode("latin-1"))
+        pairs = stream_pairs(Buffers(data, 64))
+        assert next(pairs) == (1, 2)
+        with pytest.raises(ValueError):
+            next(pairs)
+
+    @pytest.mark.parametrize("data", [
+        b"1 2 3 " + b"9" * 100_000 + b" 4",
+        b"1 2 " + b"9" * 100_000 + b" " * 100_000 + b"4",
+        b"-" + b"9" * 100_000,
+    ], ids=["long-value", "long-count-then-space", "long-signed"])
+    def test_each_byte_is_scanned_a_bounded_number_of_times(self, monkeypatch, data):
+        scanned = []
+        real = records._scan
+        monkeypatch.setattr(records, "_scan",
+                            lambda text, more: scanned.append(len(text)) or real(text, more))
+        with pytest.raises(ValueError):  # past the int-digit limit, as in read_pairs
+            read_pairs(data.decode("latin-1"))
+        with pytest.raises(ValueError):
+            list(stream_pairs(Buffers(data, 16)))
+        assert sum(scanned) < 3 * len(data)
+
+
+@pytest.mark.parametrize("text", ["-", "+", "- 1 2", "+\n1 2", "-\n", "+1 2", "-x 1 2"])
+def test_a_leading_sign_reads_as_c_does(text):
+    # C's %d takes a sign only when a digit follows it; "+1 2" is one pair.
+    expected = read_pairs_reference(text)
+    assert expected == ([(1, 2)] if text == "+1 2" else [])
+    assert read_pairs(text) == expected
+    for size in (1, 2, 64):
+        assert list(stream_pairs(Buffers(text.encode(), size))) == expected

@@ -439,6 +439,27 @@ class TestTraceIsMadeAsItIsRead:
         assert stats_first.to_csv() == csv_first.to_csv()
         assert run(self.SCENARIO).stats is None
 
+    def test_stats_read_first_keep_no_row(self):
+        rng = random.Random(6)
+        values = tuple(int(rng.lognormvariate(6, 0.5)) for _ in range(20_000))
+        scenario = Scenario(kind="replay", values=values)
+        policy = GatePolicy(threshold=600)
+        trace = run(scenario, policy=policy)
+        tracemalloc.start()
+        try:
+            stats = trace.stats
+            stats_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rows = run(scenario, policy=policy).rows
+            rows_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "rows" not in vars(trace)
+        assert stats.decisions == len(rows) == 20_000
+        # At its peak stats holds generate's event list, which the rows'
+        # run holds too.
+        assert stats_peak < rows_peak / 2
+
     def test_a_gated_csv_keeps_no_row_per_event(self):
         # A lognormal replay long enough that per-event objects dominate:
         # a TraceRow and a GateDecision per event came to ~11 bytes per
