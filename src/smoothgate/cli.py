@@ -8,6 +8,7 @@ argparse, and the modules the other commands run, load only with them.
 
 import functools
 import io
+import operator
 import os
 import re
 import sys
@@ -39,7 +40,8 @@ SMOOTH_ROW = "%10d%10d%10d%10d%10d\n"
 _SMOOTH_INTS = {"n": "n_alpha", "r": "reset_count", "t": "reset_time"}
 # strtol(s, 0, 0): C-locale white space, a sign, then hex digits after 0x,
 # octal digits after 0, or decimal digits; it stops at the first other one.
-_STRTOL = re.compile(r"[ \t\n\v\f\r]*([+-]?)(?:0[xX]([0-9a-fA-F]+)|(0[0-7]*)|([0-9]*))")
+# Compiled on first use, by re's cache: a run without -n, -r or -t needs none.
+_STRTOL = r"[ \t\n\v\f\r]*([+-]?)(?:0[xX]([0-9a-fA-F]+)|(0[0-7]*)|([0-9]*))"
 # trace --model NAME: the forecast class it runs, built from --alpha
 # (--window for ma).
 _TRACE_MODELS = {"single": "SingleExpSmoother", "double": "DoubleExpSmoother",
@@ -113,7 +115,7 @@ def _c_int(text: str) -> int:
     to int by keeping its low 32 bits, two's complement: "4294967301"
     gives 5 and "99999999999999999999" gives -1.
     """
-    sign, hex_digits, octal, decimal = _STRTOL.match(text).groups()
+    sign, hex_digits, octal, decimal = re.match(_STRTOL, text).groups()
     if hex_digits:
         value = int(hex_digits, 16)
     else:  # 20 decimal digits already pass the long's end
@@ -309,10 +311,10 @@ def cmd_simulate(args) -> int:
         raise CliError("replay needs --replay-file")
     else:
         with _open(replay_file, "rb") as fh:
-            values = tuple(v for _, v in read_pairs(fh.read().decode("latin-1")))
-        if not values:
+            pairs = read_pairs(fh.read().decode("latin-1"))
+        if not pairs:
             raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
-        scenario_options["values"] = values
+        scenario_options["values"] = tuple(map(operator.itemgetter(1), pairs))
     if policy_options and "threshold" not in policy_options:
         raise CliError("--mode and --delay-amount need --threshold")
     scenario = Scenario(**scenario_options)

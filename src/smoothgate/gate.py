@@ -108,13 +108,16 @@ def decide(policy: GatePolicy, forecast: int, request_kind: str = NEW_SESSION) -
     forecast strictly exceeds the threshold (equality admits); over the
     threshold the policy's mode picks deny or delay.
     """
-    if request_kind not in _REQUEST_KINDS:
+    # One comparison settles a new session's kind, two an in-progress one's.
+    if request_kind == NEW_SESSION:
+        if forecast > policy.threshold:
+            if policy.mode == DELAY:
+                return _new_tuple(GateDecision,
+                                  (DELAY, forecast, request_kind, policy.delay_amount))
+            return _new_tuple(GateDecision, (DENY, forecast, request_kind, None))
+    elif request_kind != IN_PROGRESS:
         raise ValueError(f"unknown request kind {request_kind!r}")
-    if request_kind == IN_PROGRESS or forecast <= policy.threshold:
-        return _new_tuple(GateDecision, (ADMIT, forecast, request_kind, None))
-    if policy.mode == DELAY:
-        return _new_tuple(GateDecision, (DELAY, forecast, request_kind, policy.delay_amount))
-    return _new_tuple(GateDecision, (DENY, forecast, request_kind, None))
+    return _new_tuple(GateDecision, (ADMIT, forecast, request_kind, None))
 
 
 class GateStats(_Fields):

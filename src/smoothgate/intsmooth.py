@@ -126,7 +126,9 @@ class IntSmoother:
             raise TypeError(f"observation must be an int, got {type(x).__name__}")
         n_alpha = self.n_alpha
         x = clamp_observation(x, n_alpha)
-        now = int(self._clock())
+        now = self._clock()
+        if type(now) is not int:  # a float or bool clock reads as its int()
+            now = int(now)
         n = self.n
         # Strictly greater-than: a pause of exactly reset_interval does not reset.
         if now - self.last_update > self.reset_interval:

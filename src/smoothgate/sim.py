@@ -68,7 +68,8 @@ class Scenario(_Frozen):
                 raise ValueError("replay scenario needs a non-empty values tuple")
             self.__dict__["length"] = len(self.values)
             for v in self.values:
-                _check_int("values", v)
+                if type(v) is not int:  # an int passes _check_int as it is
+                    _check_int("values", v)
         elif self.values:
             raise ValueError(f"values are for replay scenarios, got kind {self.kind!r}")
         _check_int("length", self.length, 1)
@@ -178,14 +179,13 @@ class SimTrace:
         self.policy = policy
         self._stats = None
 
-    def __iter__(self) -> Iterator[TraceRow]:
+    def _steps(self) -> Iterator[tuple]:
+        """One run of the scenario: per event, a plain tuple of TraceRow's
+        fields, in their order.  The one event loop every read goes through."""
         clock = ManualClock()
         smoother = IntSmoother(self.n_alpha, self.reset_interval, clock)
         gate = CongestionGate(smoother, self.policy) if self.policy is not None else None
         trend = smoother.trend
-        # tuple.__new__ builds the same TraceRow without the Python-level
-        # __new__ that the named tuple's constructor runs.
-        new_row = tuple.__new__
         for t, (now, x) in enumerate(generate(self.scenario), start=1):
             clock.now = now
             if gate is not None:
@@ -195,10 +195,14 @@ class SimTrace:
                 decision = None
                 forecast = smoother.update(x)
             level, slope = trend()
-            yield new_row(TraceRow, (t, x, forecast, smoother.n, smoother.s1, smoother.s2,
-                                     level, slope, decision))
+            yield t, x, forecast, smoother.n, smoother.s1, smoother.s2, level, slope, decision
         if gate is not None:
             self._stats = gate.stats
+
+    def __iter__(self) -> Iterator[TraceRow]:
+        # tuple.__new__ builds the same TraceRow without the Python-level
+        # __new__ that the named tuple's constructor runs.
+        return map(functools.partial(tuple.__new__, TraceRow), self._steps())
 
     @functools.cached_property
     def rows(self) -> list[TraceRow]:
@@ -210,7 +214,7 @@ class SimTrace:
         """A finished run's verdict counts; None without a policy.  Read
         before any run has finished, it runs the trace and keeps no row."""
         if self._stats is None and self.policy is not None:
-            for _ in self:  # a finished run stores its stats
+            for _ in self._steps():  # a finished run stores its stats
                 pass
         return self._stats
 
@@ -225,8 +229,8 @@ class SimTrace:
         lines = [header + "\n"]
         append = lines.append
         diffsum = 0
-        # Unpacking a row is cheaper than reading its fields by name.
-        for t, observe, forecast, n, s1, s2, a, b, decision in self:
+        # Unpacking the run's plain tuples: no TraceRow is built to be formatted.
+        for t, observe, forecast, n, s1, s2, a, b, decision in self._steps():
             diff = observe - forecast
             diffsum += diff
             if gated:

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import pytest
 
@@ -62,6 +63,20 @@ class TestDecide:
     def test_unknown_request_kind_rejected(self, policy):
         with pytest.raises(ValueError):
             decide(policy, 100, "batch")
+
+    @pytest.mark.parametrize("kind", [NEW_SESSION, IN_PROGRESS])
+    @pytest.mark.parametrize("policy", [GatePolicy(600), GatePolicy(600, DELAY, 7)])
+    def test_a_kind_built_at_run_time_is_judged_as_the_constant(self, policy, kind):
+        built = "".join(list(kind))
+        assert built == kind and built is not kind
+        for forecast in (599, 600, 601):
+            assert decide(policy, forecast, built) == decide(policy, forecast, kind)
+
+    @pytest.mark.parametrize("kind", [None, b"new_session", "NEW_SESSION"])
+    @pytest.mark.parametrize("forecast", [599, 601])
+    def test_a_kind_that_only_resembles_one_is_refused(self, policy, kind, forecast):
+        with pytest.raises(ValueError, match=f"^unknown request kind {re.escape(repr(kind))}$"):
+            decide(policy, forecast, kind)
 
 
 class TestGateDecisionValue:
@@ -205,6 +220,27 @@ class TestCongestionGate:
             gate.observe_and_decide(5000, "bogus")
         assert (vars(smoother), vars(gate.stats)) == before
         assert (smoother.n, smoother.forecast) == (1, 50)
+
+
+    @pytest.mark.parametrize("kind", [NEW_SESSION, IN_PROGRESS])
+    def test_a_kind_built_at_run_time_gates_as_the_constant(self, kind):
+        built = "".join(list(kind))
+        assert built == kind and built is not kind
+        gates = [CongestionGate(IntSmoother(3, clock=ManualClock()), GatePolicy(600))
+                 for _ in range(2)]
+        for x in CANONICAL_VALUES:
+            assert gates[0].observe_and_decide(x, built) == gates[1].observe_and_decide(x, kind)
+        assert gates[0].stats == gates[1].stats
+
+    @pytest.mark.parametrize("kind", [None, b"new_session", "NEW_SESSION"])
+    @pytest.mark.parametrize("x", [599, 601])
+    def test_a_kind_that_only_resembles_one_leaves_the_gate_untouched(self, kind, x):
+        # A fresh smoother's first forecast is its observation: x sits
+        # below or above the threshold.
+        gate = CongestionGate(IntSmoother(3, clock=ManualClock()), GatePolicy(600))
+        with pytest.raises(ValueError, match=f"^unknown request kind {re.escape(repr(kind))}$"):
+            gate.observe_and_decide(x, kind)
+        assert (gate.smoother.n, gate.stats.decisions) == (0, 0)
 
 
 class TestDecisionObjects:

@@ -115,6 +115,16 @@ class TestResetTrace:
         sm.update(12)
         assert sm.n == 2
 
+    def test_a_float_clock_is_read_as_its_int(self):
+        # int() of the readings is 100 and 105, a pause of exactly the
+        # interval; the raw readings are 5.09 apart and would reset.
+        readings = iter([100.9, 105.99])
+        sm = IntSmoother(n_alpha=5, reset_interval=5, clock=lambda: next(readings))
+        sm.update(100)
+        sm.update(100)
+        assert sm.n == 2
+        assert sm.last_update == 105 and type(sm.last_update) is int
+
     @pytest.mark.parametrize("later,n", [(55, 3), (56, 1)])
     def test_a_clock_that_steps_back_never_resets(self, later, n):
         # Stepping back is a negative elapsed time, not a pause; the next

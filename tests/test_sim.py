@@ -189,6 +189,13 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"^values must be an int, got {type(value).__name__}$"):
             Scenario(kind="replay", values=(3, value, 4))
 
+    def test_a_non_int_value_deep_in_the_replay_is_refused(self):
+        values = [5] * 5000
+        values[3999] = True
+        values[4500] = 1.5  # the first offender is the one named
+        with pytest.raises(TypeError, match="^values must be an int, got bool$"):
+            Scenario(kind="replay", values=tuple(values))
+
     def test_an_exponential_jitter_scale_past_the_float_range_is_refused(self):
         # The largest exponential draw is ~36.7 times the scale, computed in
         # floats: 10**400 raised OverflowError in generate.
