@@ -16,7 +16,6 @@ import time
 
 from .intsmooth import IntSmoother, ManualClock, system_seconds
 from .records import TRACE_COLUMNS, TRACE_ROW, stream_pairs
-from .records import read_pairs  # by name: perfbench's span shims patch it here
 
 _COMMANDS = """\
 commands:
@@ -269,14 +268,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def run(scenario, **options):
-    """``sim.run``, loaded by the first simulate command.  cmd_simulate
-    calls it by this name, so a wrapper set here runs in its place."""
-    from .sim import run
-
-    return run(scenario, **options)
-
-
 def _simulate_params() -> tuple:
     """simulate's flags: the parameters of Scenario, GatePolicy and
     IntSmoother, but the values and the clock that the CLI gives.  run
@@ -295,7 +286,8 @@ def _simulate_params() -> tuple:
 
 def cmd_simulate(args) -> int:
     from .gate import GatePolicy
-    from .sim import Scenario
+    # Looked up in sim on each call, so a wrapper set there runs in its place.
+    from .sim import Scenario, read_pairs, run
 
     # An option left off the command line is absent from args, so Scenario,
     # GatePolicy and run apply their own defaults.
@@ -396,7 +388,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = args.command
     try:
-        # By name, so a command shimmed after this module loaded still runs.
+        # By name, so a command replaced after this module loaded still runs.
         rc = globals()["cmd_" + command](args)
         # Flushed here, so a closed pipe raises below and not at exit.
         sys.stdout.flush()

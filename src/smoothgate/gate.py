@@ -159,6 +159,8 @@ class CongestionGate:
     """
 
     def __init__(self, smoother, policy: GatePolicy):
+        if not isinstance(policy, GatePolicy):
+            raise TypeError(f"policy must be a GatePolicy, got {type(policy).__name__}")
         self.smoother = smoother
         self.policy = policy
         self.stats = GateStats()

@@ -109,6 +109,8 @@ class IntSmoother:
     ):
         self.n_alpha = _check_int("n_alpha", n_alpha, 1)
         self.reset_interval = _check_int("reset_interval", reset_interval, 0)
+        if not callable(clock):
+            raise TypeError(f"clock must be callable, got {type(clock).__name__}")
         self._clock = clock
         self.n = 0
         self.s1 = 0

@@ -1,5 +1,6 @@
 """The package's public names, and the entry points the benchmark's span
-shims (``perfbench/tracing.py``) patch by name."""
+shims (``perfbench/tracing.py``) patch by name: a wrapper set on a module
+attribute is the one its callers run."""
 
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import smoothgate
-from smoothgate import forecast, gate, intsmooth, sim
+from smoothgate import cli, forecast, gate, intsmooth, sim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,3 +74,27 @@ def test_benchmark_shims_leave_the_cli_output_byte_identical(tmp_path):
     # Every patched entry point is still the one its callers look up.
     calls = json.loads((tmp_path / "traced" / "calls.json").read_text())
     assert calls and all(n > 0 for n in calls.values()), calls
+
+
+def test_simulate_runs_the_read_pairs_and_run_that_sim_holds_when_it_runs(
+        monkeypatch, capsysbinary):
+    argv = ["simulate", "--kind", "replay", "--replay-file",
+            str(ROOT / "tests" / "data" / "canonical_input.txt"), "--threshold", "600"]
+    assert cli.main(argv) == 0
+    plain = capsysbinary.readouterr()
+    calls = {"read_pairs": 0, "run": 0}
+
+    def counting(name):
+        real = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sim, name, counting(name))
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr() == plain
+    assert b"admitted=" in plain.err
+    assert calls == {"read_pairs": 1, "run": 1}

@@ -221,6 +221,13 @@ class TestCongestionGate:
         assert (vars(smoother), vars(gate.stats)) == before
         assert (smoother.n, smoother.forecast) == (1, 50)
 
+    @pytest.mark.parametrize("bad", [600, None, "600", (600, DENY, 0)])
+    def test_a_policy_that_is_not_a_gate_policy_is_refused_at_construction(self, bad):
+        smoother = IntSmoother(3, clock=ManualClock())
+        with pytest.raises(TypeError, match=f"^policy must be a GatePolicy, got {type(bad).__name__}$"):
+            CongestionGate(smoother, bad)
+        assert (smoother.n, smoother.s1, smoother.s2) == (0, 0, 0)
+
 
     @pytest.mark.parametrize("kind", [NEW_SESSION, IN_PROGRESS])
     def test_a_kind_built_at_run_time_gates_as_the_constant(self, kind):

@@ -11,6 +11,7 @@ from smoothgate import (
     UnprimedError,
     cdiv,
     clamp_observation,
+    system_seconds,
 )
 
 from tables import CANONICAL_TRACE, CANONICAL_VALUES, RESET_TRACE
@@ -189,6 +190,15 @@ class TestContracts:
     def test_constructor_rejects_non_int_parameters(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
             IntSmoother(**{field: value}, clock=ManualClock(0))
+
+    @pytest.mark.parametrize("clock", [5, 1.5, None, "0"])
+    def test_constructor_rejects_a_clock_that_is_not_callable(self, clock):
+        with pytest.raises(TypeError, match=f"^clock must be callable, got {type(clock).__name__}$"):
+            IntSmoother(clock=clock)
+
+    @pytest.mark.parametrize("clock", [lambda: 7, ManualClock(7), system_seconds])
+    def test_constructor_takes_any_callable_clock(self, clock):
+        assert IntSmoother(clock=clock).update(42) == 42
 
     @pytest.mark.parametrize("value", ["7", 1.9, 0.5, True])
     def test_manual_clock_rejects_non_int_times(self, value):
