@@ -303,10 +303,11 @@ def cmd_simulate(args) -> int:
         raise CliError("replay needs --replay-file")
     else:
         with _open(replay_file, "rb") as fh:
-            pairs = read_pairs(fh.read().decode("latin-1"))
-        if not pairs:
+            # Only the values are kept: the text and the pairs die before the run.
+            values = tuple(map(operator.itemgetter(1), read_pairs(fh.read().decode("latin-1"))))
+        if not values:
             raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
-        scenario_options["values"] = tuple(map(operator.itemgetter(1), pairs))
+        scenario_options["values"] = values
     if policy_options and "threshold" not in policy_options:
         raise CliError("--mode and --delay-amount need --threshold")
     scenario = Scenario(**scenario_options)

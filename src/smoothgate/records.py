@@ -1,6 +1,7 @@
 """The C program's record formats: the "<count> <value>" pairs it reads and
 the verbose CSV row its ``-w`` file holds, shared by ``smooth`` and ``sim``."""
 
+import functools
 import re
 from typing import Iterator
 
@@ -21,6 +22,9 @@ _SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]")
 _SCANF_BARE_SIGN = re.compile(r"[+-](?![0-9])")
 _C_SPACE = " \t\n\v\f\r"
 
+# read_pairs scans its text in slices of this many characters.
+_READ_BLOCK = 8192
+
 
 def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
     """The complete integer literals the ``%d`` loop takes from text, and
@@ -33,13 +37,40 @@ def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
     """
     stop = _SCANF_STOP.search(text)
     end = stop.start() if stop else len(text)
-    sign = _SCANF_BARE_SIGN.search(text, 0, end)
+    # With no sign in the text there is no bare sign to look for.
+    sign = _SCANF_BARE_SIGN.search(text, 0, end) if "+" in text or "-" in text else None
     if sign and (stop or not more or sign.end() < len(text)):
         stop, end = sign, sign.start()
     ints = text[:end].replace("+", " +").replace("-", " -").split()
     if stop or not more:
         return ints, None
     return ints, "" if text[-1:] in _C_SPACE else ints.pop()
+
+
+def _pairs(read) -> Iterator[tuple[int, int]]:
+    """Yield the "<count> <value>" pairs C's fscanf loop finds in the text
+    that ``read()`` returns piece by piece, "" at the end.
+
+    Each pair comes as soon as the piece that completes it is read.  Only a
+    count waiting for its value and a literal the next piece may continue
+    are held back, and nothing is read past the point where reading stops.
+    """
+    count = None  # a complete literal still waiting for its value
+    partial = ""
+    while partial is not None:
+        pieces = [read()]
+        if partial[-1:].isdigit():
+            # A literal that runs on through whole pieces is scanned once,
+            # when it ends, not again with each piece.  Only ASCII digits
+            # continue it: str.isdigit() also takes Latin-1's "\xb2\xb3\xb9".
+            while pieces[-1].isascii() and pieces[-1].isdigit():
+                pieces.append(read())
+        ints, partial = _scan(partial + "".join(pieces), bool(pieces[-1]))
+        if count is not None:
+            ints.insert(0, count)
+        count = ints.pop() if len(ints) % 2 and partial is not None else None
+        it = map(int, ints)
+        yield from zip(it, it)
 
 
 def read_pairs(text: str) -> list[tuple[int, int]]:
@@ -49,9 +80,11 @@ def read_pairs(text: str) -> list[tuple[int, int]]:
     Reading stops where no integer continues, so ``12abc`` gives 12 and
     ``0x10`` gives 0, and an unpaired last integer is dropped.  A literal
     longer than the interpreter's int-digit limit raises ValueError.
+    The text is scanned ``_READ_BLOCK`` characters at a time, so besides the
+    text and the pairs it returns, it holds the literals of one block.
     """
-    it = map(int, _scan(text, False)[0])
-    return list(zip(it, it))
+    blocks = (text[i:i + _READ_BLOCK] for i in range(0, len(text), _READ_BLOCK))
+    return list(_pairs(functools.partial(next, blocks, "")))
 
 
 def stream_pairs(stream) -> Iterator[tuple[int, int]]:
@@ -65,18 +98,4 @@ def stream_pairs(stream) -> Iterator[tuple[int, int]]:
     the point where reading stops.
     """
     read1 = stream.read1
-    count = None  # a complete literal still waiting for its value
-    partial = ""
-    while partial is not None:
-        chunks = [read1()]
-        if partial[-1:].isdigit():
-            # A literal that runs on through whole buffers is scanned once,
-            # when it ends, not again with each buffer.
-            while chunks[-1].isdigit():
-                chunks.append(read1())
-        ints, partial = _scan(partial + b"".join(chunks).decode("latin-1"), bool(chunks[-1]))
-        if count is not None:
-            ints.insert(0, count)
-        count = ints.pop() if len(ints) % 2 and partial is not None else None
-        it = map(int, ints)
-        yield from zip(it, it)
+    return _pairs(lambda: read1().decode("latin-1"))

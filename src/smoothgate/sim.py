@@ -10,6 +10,7 @@ rows are immutable named tuples, so they compare and unpack like tuples.
 
 import functools
 import random
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .errors import _check_int
@@ -141,6 +142,8 @@ def generate(scenario: Scenario) -> list[tuple[int, int]]:
 
 _ROW = TRACE_ROW + ",%s,%s\n"
 _GATED_ROW = TRACE_ROW + ",%s,%s,%s\n"
+# SimTrace.to_csv joins this many rows at a time.
+_CSV_BLOCK = 1024
 
 
 class TraceRow(NamedTuple):
@@ -221,24 +224,31 @@ class SimTrace:
     def to_csv(self) -> str:
         """Verbose-trace CSV: the TRACE_COLUMNS, then the level/slope
         columns and, when a gate ran, the verdict.  Rows are formatted as a
-        run yields them, and none is kept."""
+        run yields them, and none is kept: every ``_CSV_BLOCK`` rows are
+        joined into one chunk, so until the final join it holds the chunks
+        and the row strings of one block."""
         gated = self.policy is not None
         header = TRACE_COLUMNS + ",at,bt"
         if gated:
             header += ",decision"
-        lines = [header + "\n"]
-        append = lines.append
+        chunks = [header + "\n"]
         diffsum = 0
-        # Unpacking the run's plain tuples: no TraceRow is built to be formatted.
-        for t, observe, forecast, n, s1, s2, a, b, decision in self._steps():
-            diff = observe - forecast
-            diffsum += diff
-            if gated:
-                append(_GATED_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b,
-                                     decision.verdict))
-            else:
-                append(_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b))
-        return "".join(lines)
+        steps = self._steps()
+        while True:
+            lines = []
+            append = lines.append
+            # Unpacking the run's plain tuples: no TraceRow is built to be formatted.
+            for t, observe, forecast, n, s1, s2, a, b, decision in islice(steps, _CSV_BLOCK):
+                diff = observe - forecast
+                diffsum += diff
+                if gated:
+                    append(_GATED_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b,
+                                         decision.verdict))
+                else:
+                    append(_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b))
+            if not lines:
+                return "".join(chunks)
+            chunks.append("".join(lines))
 
 
 def run(

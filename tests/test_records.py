@@ -73,6 +73,13 @@ class TestStreamPairs:
         assert list(stream_pairs(stream)) == [(1, 2), (3, 4)]
         assert stream.calls == data.index(b"x") + 1
 
+    def test_a_latin1_digit_does_not_continue_a_literal_across_buffers(self):
+        # "\xb2" is a digit to str.isdigit(), not to %d: reading stops there,
+        # and the buffer after it is never asked for.
+        stream = Buffers(chunks=[b"1 2 3 4", b"\xb2\xb2", b" 5 6"])
+        assert list(stream_pairs(stream)) == [(1, 2), (3, 4)]
+        assert stream.calls == 2
+
     def test_an_over_long_literal_raises_after_the_pairs_before_it(self):
         data = b"1 2 3 " + b"9" * 4400 + b" 4"
         with pytest.raises(ValueError):
@@ -107,3 +114,51 @@ def test_a_leading_sign_reads_as_c_does(text):
     assert read_pairs(text) == expected
     for size in (1, 2, 64):
         assert list(stream_pairs(Buffers(text.encode(), size))) == expected
+
+
+BLOCK = records._READ_BLOCK
+# What may sit on a block boundary, each read as C reads it.
+_BOUNDARY_ITEMS = {
+    "literal": "123456789",
+    "bare-sign": "- ",
+    "signed-literal": "-98765",
+    "plus-literal": "+4321",
+    "stop": "x",
+    "nd-digit": "\u0663",
+    "latin1-digit": "\xb2",
+}
+
+
+def _filler(length: int, pending: bool) -> str:
+    """Whole "<count> <value>" lines padded with spaces to ``length``
+    characters, ending with a count that waits for its value if ``pending``."""
+    head = "7 " if pending else ""
+    lines, pad = divmod(length - len(head), 6)
+    return "12 34\n" * lines + " " * pad + head
+
+
+class TestReadPairsAcrossBlocks:
+    """read_pairs scans its text a block at a time; whatever falls on a
+    block boundary, it reads what C's fscanf loop reads."""
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["as-count", "as-value"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("item", list(_BOUNDARY_ITEMS.values()), ids=list(_BOUNDARY_ITEMS))
+    def test_an_item_on_a_block_boundary(self, item, k, shift, pending):
+        start = BLOCK * k + shift
+        text = _filler(start, pending) + item + " " + _filler(3 * BLOCK, False)
+        assert text.index(item, start - 2) == start and len(text) > 3 * BLOCK
+        expected = read_pairs_reference(text)
+        assert len(expected) >= (start - 2) // 6  # every pair before the item
+        assert read_pairs(text) == expected
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["unpaired-count", "last-value"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_the_last_literal_on_a_block_boundary(self, k, shift, pending):
+        start = BLOCK * k + shift
+        text = _filler(start, pending) + "55"
+        expected = read_pairs_reference(text)
+        assert expected[-1] == ((7, 55) if pending else (12, 34))
+        assert read_pairs(text) == expected
