@@ -15,7 +15,7 @@ import sys
 import time
 
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .records import TRACE_COLUMNS, TRACE_ROW, stream_pairs
+from .records import TRACE_COLUMNS, TRACE_ROW, stream_blocks
 
 _COMMANDS = """\
 commands:
@@ -199,19 +199,39 @@ def cmd_smooth(args) -> int:
         csv_write = csv_file.write if csv_file else None
         csv_row = TRACE_ROW + "\n"
         diffsum = 0
-        # Each record is updated, on the clock, as the reader yields it.
-        for count, xt in stream_pairs(source):
-            ft = update(xt)
-            diff = xt - ft
-            diffsum += diff
-            write(SMOOTH_ROW % (count, xt, ft, diff, diffsum))
-            if csv_write:
-                csv_write(csv_row % (count, xt, ft, diff, diffsum,
-                                     smoother.n, smoother.s1, smoother.s2))
-            # The reset path: go idle for longer than the reset interval
-            # right after the flagged record, so the next one restarts.
-            if reset_count and count == reset_count:
-                pause(reset_time + 1)
+        report, csv = [], []  # the flat row values of one buffer
+
+        def write_rows():
+            # One % over the row format repeated k times costs less than k.
+            # The lists are emptied first: a write that failed is not retried.
+            if report:
+                values = tuple(report)
+                report.clear()
+                write(SMOOTH_ROW * (len(values) // 5) % values)
+            if csv:
+                values = tuple(csv)
+                csv.clear()
+                csv_write(csv_row * (len(values) // 8) % values)
+
+        # Each record is updated, on the clock, as the reader yields it.  Its
+        # rows are written with its buffer's, or first if a pause or an error
+        # comes, so every byte is out by the same record as row by row.
+        for pairs in stream_blocks(source):
+            try:
+                for count, xt in pairs:
+                    ft = update(xt)
+                    diff = xt - ft
+                    diffsum += diff
+                    report += count, xt, ft, diff, diffsum
+                    if csv_write:
+                        csv += count, xt, ft, diff, diffsum, smoother.n, smoother.s1, smoother.s2
+                    # The reset path: go idle for longer than the reset interval
+                    # right after the flagged record, so the next one restarts.
+                    if reset_count and count == reset_count:
+                        write_rows()
+                        pause(reset_time + 1)
+            finally:
+                write_rows()
     finally:
         for fh in (csv_file, source):
             if fh:

@@ -3,6 +3,7 @@ the verbose CSV row its ``-w`` file holds, shared by ``smooth`` and ``sim``."""
 
 import functools
 import re
+from itertools import chain
 from typing import Iterator
 
 # The leading trace columns, shared with the ``smooth -w`` CSV.  ``%s``
@@ -47,13 +48,15 @@ def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
     return ints, "" if text[-1:] in _C_SPACE else ints.pop()
 
 
-def _pairs(read) -> Iterator[tuple[int, int]]:
-    """Yield the "<count> <value>" pairs C's fscanf loop finds in the text
-    that ``read()`` returns piece by piece, "" at the end.
+def _pairs(read) -> Iterator[Iterator[tuple[int, int]]]:
+    """Yield, per piece of text that ``read()`` returns ("" at the end), an
+    iterator over the "<count> <value>" pairs C's fscanf loop finds that the
+    piece completes.
 
-    Each pair comes as soon as the piece that completes it is read.  Only a
-    count waiting for its value and a literal the next piece may continue
-    are held back, and nothing is read past the point where reading stops.
+    Pairs convert only as they are taken, so those before an over-long
+    literal come before its ValueError.  Only a count waiting for its value
+    and a literal the next piece may continue are held back, and nothing is
+    read past the point where reading stops.
     """
     count = None  # a complete literal still waiting for its value
     partial = ""
@@ -70,7 +73,7 @@ def _pairs(read) -> Iterator[tuple[int, int]]:
             ints.insert(0, count)
         count = ints.pop() if len(ints) % 2 and partial is not None else None
         it = map(int, ints)
-        yield from zip(it, it)
+        yield zip(it, it)
 
 
 def read_pairs(text: str) -> list[tuple[int, int]]:
@@ -84,18 +87,25 @@ def read_pairs(text: str) -> list[tuple[int, int]]:
     text and the pairs it returns, it holds the literals of one block.
     """
     blocks = (text[i:i + _READ_BLOCK] for i in range(0, len(text), _READ_BLOCK))
-    return list(_pairs(functools.partial(next, blocks, "")))
+    return list(chain.from_iterable(_pairs(functools.partial(next, blocks, ""))))
 
 
-def stream_pairs(stream) -> Iterator[tuple[int, int]]:
-    """Yield the pairs ``read_pairs`` finds in a binary stream, each as soon
-    as the buffer that completes it arrives, as C's fscanf loop returns it.
+def stream_blocks(stream) -> Iterator[Iterator[tuple[int, int]]]:
+    """Yield, per ``read1()`` buffer of a binary stream, an iterator over
+    the pairs ``read_pairs`` finds that the buffer completes.
 
-    Each buffer is one ``read1()`` of the stream, decoded as Latin-1, which
-    maps every byte to one character.  Only a count waiting for its value
-    and a literal the next buffer may continue are held back, so the memory
-    held does not grow with the number of records.  Nothing is read past
+    Each buffer is decoded as Latin-1, which maps every byte to one
+    character.  Besides one buffer's text and literals, only a count waiting
+    for its value and a literal the next buffer may continue are held, so
+    the memory held does not grow with the number of records.  The next
+    buffer is read once the iterator before it is exhausted, and none past
     the point where reading stops.
     """
     read1 = stream.read1
     return _pairs(lambda: read1().decode("latin-1"))
+
+
+def stream_pairs(stream) -> Iterator[tuple[int, int]]:
+    """The pairs of ``stream_blocks(stream)``, each yielded as soon as the
+    buffer that completes it arrives; it holds what that holds."""
+    return chain.from_iterable(stream_blocks(stream))

@@ -142,8 +142,9 @@ def generate(scenario: Scenario) -> list[tuple[int, int]]:
 
 _ROW = TRACE_ROW + ",%s,%s\n"
 _GATED_ROW = TRACE_ROW + ",%s,%s,%s\n"
-# SimTrace.to_csv joins this many rows at a time.
-_CSV_BLOCK = 1024
+# SimTrace.to_csv formats this many rows at a time.  A block's ints live
+# until it is formatted: 1,024 rows held half as much again at the peak.
+_CSV_BLOCK = 256
 
 
 class TraceRow(NamedTuple):
@@ -224,31 +225,31 @@ class SimTrace:
     def to_csv(self) -> str:
         """Verbose-trace CSV: the TRACE_COLUMNS, then the level/slope
         columns and, when a gate ran, the verdict.  Rows are formatted as a
-        run yields them, and none is kept: every ``_CSV_BLOCK`` rows are
-        joined into one chunk, so until the final join it holds the chunks
-        and the row strings of one block."""
+        run yields them, and none is kept: the values of every
+        ``_CSV_BLOCK`` rows are formatted by one ``%`` over the row format
+        repeated, so until the final join it holds the blocks' text and one
+        block's values."""
         gated = self.policy is not None
         header = TRACE_COLUMNS + ",at,bt"
         if gated:
             header += ",decision"
+        row = _GATED_ROW if gated else _ROW
+        width = row.count("%")
         chunks = [header + "\n"]
         diffsum = 0
         steps = self._steps()
         while True:
-            lines = []
-            append = lines.append
+            values = []
             # Unpacking the run's plain tuples: no TraceRow is built to be formatted.
             for t, observe, forecast, n, s1, s2, a, b, decision in islice(steps, _CSV_BLOCK):
                 diff = observe - forecast
                 diffsum += diff
+                values += t, observe, forecast, diff, diffsum, n, s1, s2, a, b
                 if gated:
-                    append(_GATED_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b,
-                                         decision.verdict))
-                else:
-                    append(_ROW % (t, observe, forecast, diff, diffsum, n, s1, s2, a, b))
-            if not lines:
+                    values.append(decision.verdict)
+            if not values:
                 return "".join(chunks)
-            chunks.append("".join(lines))
+            chunks.append(row * (len(values) // width) % tuple(values))
 
 
 def run(

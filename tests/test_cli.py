@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -235,6 +236,30 @@ class TestSmoothCommand:
         assert report == ["%10d%10d%10d%10d%10d" % row[:5] for row in expected]
         assert rows[1][4] == 3865470566
         assert rows[20][3:5] == (-2276332667, 36378372993)
+
+    def test_an_over_long_literal_in_one_buffer_exits_1_after_the_rows_before_it(
+            self, capsys, monkeypatch):
+        # A file's 4,096-byte buffers would split the literal: this input
+        # is read in one buffer, pairs and literal together.
+        data = b"1 2 3 4 " + b"9" * 4400 + b" 5 6"
+        monkeypatch.setattr(cli, "_open",
+                            lambda path, mode: io.BufferedReader(io.BytesIO(data), 1 << 16))
+        assert main(["smooth", "--sim-clock", "in.txt"]) == 1
+        captured = capsys.readouterr()
+        assert [row[0] for row in parse_report_rows(captured.out)] == [1, 3]
+        assert captured.out.endswith("\n") and "digits" in captured.err
+
+    def test_a_reset_pause_comes_after_the_flagged_row_is_written(
+            self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("1 100\n2 200\n3 300\n")
+        snapshots = []
+        monkeypatch.setattr(time, "sleep", lambda seconds: snapshots.append(capsys.readouterr()))
+        assert main(["smooth", "-r", "2", str(path)]) == 0
+        [snapshot] = snapshots
+        assert [row[0] for row in parse_report_rows(snapshot.out)] == [1, 2]
+        assert snapshot.out.endswith("\n")
+        assert [row[0] for row in parse_report_rows(capsys.readouterr().out)] == [3]
 
     def test_c_oracle_is_built_with_the_overflow_sanitizer(self, c_oracle, tmp_path):
         # The records that overflow the C program's int diffsum at record 2.

@@ -88,6 +88,12 @@ class TestStreamPairs:
         assert next(pairs) == (1, 2)
         with pytest.raises(ValueError):
             next(pairs)
+        # Within one buffer too, the pairs before the literal come first.
+        data = b"1 2 3 4 " + b"9" * 4400 + b" 5 6"
+        pairs = stream_pairs(Buffers(chunks=[data]))
+        assert (next(pairs), next(pairs)) == ((1, 2), (3, 4))
+        with pytest.raises(ValueError):
+            next(pairs)
 
     @pytest.mark.parametrize("data", [
         b"1 2 3 " + b"9" * 100_000 + b" 4",

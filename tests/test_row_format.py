@@ -5,7 +5,9 @@ taken elsewhere: the `smooth` rows from the straight-line oracle, the
 `SimTrace.to_csv` rows from the trace's own fields.  Inputs cover negative
 values and a negative running diffsum, counts and values wider than the
 10-character report column, observations beyond the clamp bounds and, on
-`smooth`, a `-r` reset mid-stream.
+`smooth`, a `-r` reset mid-stream.  Long inputs cover rows formatted a block
+at a time: `smooth` over many read buffers, with its reset in a middle one,
+and `to_csv` over blocks of `_CSV_BLOCK` rows, the last holding one row.
 """
 
 import random
@@ -14,6 +16,7 @@ import pytest
 
 from smoothgate import DELAY, DENY, GatePolicy, Scenario, run
 from smoothgate.cli import main
+from smoothgate.sim import _CSV_BLOCK
 
 from oracles import integer_trace
 
@@ -34,6 +37,11 @@ VALUES = _values()
 # Counts: ordinary, then wider than the 10-character report column.
 COUNTS = list(range(1, 41)) + [10**10 + i for i in range(len(VALUES) - 41)] + [12_345_678_901]
 RESET_COUNT = 17
+# Over 40 KB of records, more than five 4,096-byte read1() buffers of a file;
+# LONG_RESET_COUNT's record lies in a middle buffer.
+LONG_RECORDS = [(i, VALUES[i % len(VALUES)] + i) for i in range(1, 4_001)]
+LONG_RESET_COUNT = 2_001
+READ1_SIZE = 4_096
 
 
 def _smooth_expected(records, *, reset_count):
@@ -68,19 +76,21 @@ def _smooth_expected(records, *, reset_count):
 
 @pytest.mark.parametrize("reset_count", [None, RESET_COUNT])
 def test_smooth_report_and_csv_match_f_string_rows(capsys, tmp_path, reset_count):
-    records = list(zip(COUNTS, VALUES))
-    path = tmp_path / "input.txt"
-    path.write_text("".join(f"{c} {x}\n" for c, x in records))
-    csv_path = tmp_path / "verbose.csv"
-    argv = ["smooth", "--sim-clock", "-n", str(N_ALPHA), "-t", str(RESET_TIME),
-            "-w", str(csv_path), str(path)]
-    if reset_count:
-        argv[1:1] = ["-r", str(reset_count)]
-    assert main(argv) == 0
+    # The short input fits one read buffer; the long one spans many.
+    for records, reset in [(list(zip(COUNTS, VALUES)), reset_count),
+                           (LONG_RECORDS, reset_count and LONG_RESET_COUNT)]:
+        path = tmp_path / "input.txt"
+        path.write_text("".join(f"{c} {x}\n" for c, x in records))
+        csv_path = tmp_path / "verbose.csv"
+        argv = ["smooth", "--sim-clock", "-n", str(N_ALPHA), "-t", str(RESET_TIME),
+                "-w", str(csv_path), str(path)]
+        if reset:
+            argv[1:1] = ["-r", str(reset)]
+        assert main(argv) == 0
 
-    expected_out, expected_csv = _smooth_expected(records, reset_count=reset_count)
-    assert capsys.readouterr().out == expected_out
-    assert csv_path.read_text() == expected_csv
+        expected_out, expected_csv = _smooth_expected(records, reset_count=reset)
+        assert capsys.readouterr().out == expected_out
+        assert csv_path.read_text() == expected_csv
 
 
 def test_smooth_inputs_reach_the_cases_they_name():
@@ -94,6 +104,14 @@ def test_smooth_inputs_reach_the_cases_they_name():
     # The reset restarts the recursive mean right after the flagged record.
     assert rows[RESET_COUNT][5] == 1 and rows[RESET_COUNT - 1][5] == N_ALPHA
 
+    lines = [f"{c} {x}\n".encode() for c, x in LONG_RECORDS]
+    assert sum(map(len, lines)) > 10 * READ1_SIZE
+    reset_at = sum(map(len, lines[:LONG_RESET_COUNT]))
+    assert 5 * READ1_SIZE < reset_at < sum(map(len, lines)) - 5 * READ1_SIZE
+    _, csv = _smooth_expected(LONG_RECORDS, reset_count=LONG_RESET_COUNT)
+    rows = [[int(field) for field in line.split(",")] for line in csv.splitlines()[3:]]
+    assert rows[LONG_RESET_COUNT][5] == 1 and rows[LONG_RESET_COUNT - 1][5] == N_ALPHA
+
 
 @pytest.mark.parametrize("policy", [
     None,
@@ -101,25 +119,28 @@ def test_smooth_inputs_reach_the_cases_they_name():
     GatePolicy(threshold=1_000, mode=DELAY, delay_amount=7),
 ], ids=["ungated", "deny", "delay"])
 def test_to_csv_matches_f_string_rows(policy):
-    scenario = Scenario(kind="replay", values=tuple(VALUES), pause_after=20, pause_gap=9)
-    trace = run(scenario, n_alpha=N_ALPHA, reset_interval=RESET_TIME, policy=policy)
-    gated = policy is not None
-    header = "count,observe,forecast,diff,diffsum,n,stx1,stx2,at,bt"
-    if gated:
-        header += ",decision"
-    lines = [header]
-    diffsum = min_diffsum = 0
-    for row in trace.rows:
-        diff = row.observe - row.forecast
-        diffsum += diff
-        min_diffsum = min(min_diffsum, diffsum)
-        line = (f"{row.t},{row.observe},{row.forecast},{diff},{diffsum},"
-                f"{row.n},{row.s1},{row.s2},{row.a},{row.b}")
+    # The long replay fills two blocks of rows and leaves one row for a third.
+    long_values = tuple(VALUES[i % len(VALUES)] for i in range(2 * _CSV_BLOCK + 1))
+    for values in (tuple(VALUES), long_values):
+        scenario = Scenario(kind="replay", values=values, pause_after=20, pause_gap=9)
+        trace = run(scenario, n_alpha=N_ALPHA, reset_interval=RESET_TIME, policy=policy)
+        gated = policy is not None
+        header = "count,observe,forecast,diff,diffsum,n,stx1,stx2,at,bt"
         if gated:
-            line += f",{row.decision.verdict}"
-        lines.append(line)
-    assert trace.to_csv() == "\n".join(lines) + "\n"
-    assert min_diffsum < 0
-    if gated:
-        verdicts = {row.decision.verdict for row in trace.rows}
-        assert verdicts == {"admit", policy.mode}
+            header += ",decision"
+        lines = [header]
+        diffsum = min_diffsum = 0
+        for row in trace.rows:
+            diff = row.observe - row.forecast
+            diffsum += diff
+            min_diffsum = min(min_diffsum, diffsum)
+            line = (f"{row.t},{row.observe},{row.forecast},{diff},{diffsum},"
+                    f"{row.n},{row.s1},{row.s2},{row.a},{row.b}")
+            if gated:
+                line += f",{row.decision.verdict}"
+            lines.append(line)
+        assert trace.to_csv() == "\n".join(lines) + "\n"
+        assert min_diffsum < 0
+        if gated:
+            verdicts = {row.decision.verdict for row in trace.rows}
+            assert verdicts == {"admit", policy.mode}
