@@ -233,7 +233,8 @@ def cmd_smooth(args) -> int:
             finally:
                 write_rows()
     finally:
-        for fh in (csv_file, source):
+        # The input first: closing the CSV file may raise a failed write.
+        for fh in (source, csv_file):
             if fh:
                 fh.close()
     return 0
@@ -344,7 +345,9 @@ def _emit(path, text: str) -> None:
         with _open(path, "w") as fh:
             fh.write(text)
     else:
+        # Flushed now, so a failed write is reported before any summary.
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 @functools.cache
@@ -421,6 +424,15 @@ def main(argv=None) -> int:
         # As the signal module's SIGPIPE note advises: the rest of stdout
         # goes to devnull, so the flush at exit fails no second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as err:
+        # A failed write, as on a full disk.  What stdout holds is kept if
+        # stdout still takes it, and sent to devnull as above if not.
+        print(f"Error writing output: {err.strerror or err}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -71,33 +71,6 @@ def startup_length(alpha: float) -> int:
     return math.floor(inverse)
 
 
-class SingleExpSmoother:
-    """Constant-model smoother: s = alpha*x + (1 - alpha)*s.
-
-    Seeds from the first observation unless an explicit initial estimate is
-    supplied, in which case the very first update already discounts it.
-    """
-
-    def __init__(self, alpha: float, initial: float | None = None):
-        _check_alpha(alpha)
-        self.alpha = alpha
-        self.s = None if initial is None else _check_finite(initial, "initial")
-
-    def update(self, x: float) -> float:
-        x = _check_finite(x)
-        if self.s is None:
-            self.s = x
-        else:
-            self.s = self.alpha * x + (1.0 - self.alpha) * self.s
-        return self.s
-
-    @property
-    def forecast(self) -> float:
-        if self.s is None:
-            raise UnprimedError("forecast read before any observation")
-        return self.s
-
-
 class FloatSmoother:
     """Hybrid forecaster: recursive-mean startup, then double smoothing.
 
@@ -180,6 +153,21 @@ class DoubleExpSmoother(FloatSmoother):
         if initial is not None:
             self.n = 1
             self.s1 = self.s2 = self._forecast = _check_finite(initial, "initial")
+
+
+class SingleExpSmoother(DoubleExpSmoother):
+    """Constant-model smoother: ``DoubleExpSmoother``'s level,
+    s1 = alpha*x + (1 - alpha)*s1, which is also its forecast.
+
+    Seeds from the first observation unless an explicit initial estimate is
+    supplied, in which case the very first update already discounts it.
+    """
+
+    def update(self, x: float) -> float:
+        """Absorb one observation and return the new level."""
+        super().update(x)
+        self._forecast = self.s1
+        return self.s1
 
 
 class MovingAverage:

@@ -104,8 +104,3 @@ def stream_blocks(stream) -> Iterator[Iterator[tuple[int, int]]]:
     read1 = stream.read1
     return _pairs(lambda: read1().decode("latin-1"))
 
-
-def stream_pairs(stream) -> Iterator[tuple[int, int]]:
-    """The pairs of ``stream_blocks(stream)``, each yielded as soon as the
-    buffer that completes it arrives; it holds what that holds."""
-    return chain.from_iterable(stream_blocks(stream))

@@ -78,6 +78,7 @@ def test_constructor_errors_exit_one_without_output(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["weights", "--alpha", "5e-324", "--rows", "2"],
     ["trace", "--model", "double", "--series", "ramp", "--alpha", "1e-310"],
+    ["trace", "--model", "single", "--series", "ramp", "--alpha", "1e-310"],
 ])
 def test_an_alpha_too_small_to_invert_exits_one_with_one_line(capsys, argv):
     assert main(argv) == 1
@@ -120,6 +121,29 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,stdout_full", [
+    (["smooth", "--sim-clock", "-w", "/dev/full"], False),
+    (["smooth", "--sim-clock"], True),
+    (["simulate", "--kind", "replay", "--threshold", "600", "--replay-file"], True),
+    (["simulate", "--kind", "replay", "--output", "/dev/full", "--replay-file"], False),
+])
+def test_a_failed_write_exits_one_with_one_line(tmp_path, argv, stdout_full):
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{i} {i % 997}\n" for i in range(1, 20001)))
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgate.__file__).parents[1]))
+    command = [sys.executable, "-m", "smoothgate.cli", *argv, str(path)]
+    with open("/dev/full", "wb") if stdout_full else contextlib.nullcontext() as full:
+        proc = subprocess.run(command, stdout=full or subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, b"Error writing output: No space left on device\n")
+    if not stdout_full:
+        # The rows written to a healthy stdout before the failure are kept.
+        whole = subprocess.run([a for a in command if a not in ("-w", "--output", "/dev/full")],
+                               capture_output=True, env=env, timeout=60).stdout
+        assert whole.startswith(proc.stdout)
 
 
 class TestSmoothCommand:

@@ -4,6 +4,8 @@ import sys
 from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from smoothgate import (
     DoubleExpSmoother,
@@ -56,6 +58,36 @@ class TestSingleExpSmoother:
     def test_forecast_before_any_observation_raises(self):
         with pytest.raises(UnprimedError):
             SingleExpSmoother(0.3).forecast
+
+    @given(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    )
+    def test_is_the_double_smoothers_level(self, alpha, initial, xs):
+        single = SingleExpSmoother(alpha, initial)
+        double = DoubleExpSmoother(alpha, initial)
+        for x in xs:
+            double.update(x)
+            assert single.update(x) == double.s1 == single.forecast
+
+    @given(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.one_of(st.none(), st.floats(min_value=-1e300, max_value=1e300)),
+        st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=30),
+    )
+    def test_every_update_equals_the_oracles_level(self, alpha, initial, xs):
+        m = SingleExpSmoother(alpha, initial)
+        for x, exp in zip(xs, float_double_trace(xs, alpha, 1, initial=initial)):
+            assert m.update(x) == exp["s1"]
+
+    def test_an_alpha_whose_inverse_overflows_is_refused(self):
+        # At such an alpha the level would never move from its seed.
+        with pytest.raises(ValueError, match="^Invalid alpha = 1e-310, 1/alpha overflows"):
+            SingleExpSmoother(1e-310)
+
+    def test_a_negative_zero_first_observation_seeds_zero(self):
+        assert math.copysign(1.0, SingleExpSmoother(0.2).update(-0.0)) == 1.0
 
 
 class TestStartupPhase:

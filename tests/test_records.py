@@ -1,12 +1,14 @@
 """The streaming record reader: whatever the buffers' sizes, it yields what
 C's fscanf loop reads, each pair once the buffer that completes it arrives."""
 
+from itertools import chain
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothgate import records
-from smoothgate.records import read_pairs, stream_pairs
+from smoothgate.records import read_pairs, stream_blocks
 
 from oracles import read_pairs_reference
 
@@ -24,6 +26,11 @@ class Buffers:
         assert size == -1
         self.calls += 1
         return self.chunks.pop(0) if self.chunks else b""
+
+
+def stream_pairs(stream):
+    """The pairs of ``stream_blocks(stream)``, each once its buffer arrives."""
+    return chain.from_iterable(stream_blocks(stream))
 
 
 # White space, signs, digits and stray characters, as bytes read as Latin-1.
