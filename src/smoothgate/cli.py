@@ -54,7 +54,7 @@ class CliError(Exception):
 def _open(path, mode: str):
     """Open a file a command was given, or raise CliError with C's message.
 
-    Input ("rb") is bytes, which the readers decode as Latin-1: that maps
+    Input ("rb") is bytes, which the reader decodes as Latin-1: that maps
     every byte to one character, so input is read byte for byte as C reads
     it.  A directory opened for reading reads as empty: C's fopen opens one
     on Linux, and its first fscanf fails.
@@ -324,8 +324,8 @@ def cmd_simulate(args) -> int:
         raise CliError("replay needs --replay-file")
     else:
         with _open(replay_file, "rb") as fh:
-            # Only the values are kept: the text and the pairs die before the run.
-            values = tuple(map(operator.itemgetter(1), read_pairs(fh.read().decode("latin-1"))))
+            # Only the values are kept: the pairs die before the run.
+            values = tuple(map(operator.itemgetter(1), read_pairs(fh)))
         if not values:
             raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
         scenario_options["values"] = values

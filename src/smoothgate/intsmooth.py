@@ -8,6 +8,7 @@ goal is an algorithm that can run where floating point cannot (e.g. inside
 a kernel-level driver) while matching its real-arithmetic twin closely.
 """
 
+import math
 import time
 from typing import Callable
 
@@ -122,7 +123,10 @@ class IntSmoother:
         """Absorb one observation and return the new forecast.
 
         Raises TypeError when x is not an int: bool, float and str
-        observations are refused rather than coerced.
+        observations are refused rather than coerced.  A float or bool clock
+        reading is read as its int(); one of any other type raises
+        TypeError, and a NaN or infinite one ValueError, before any state
+        moves.
         """
         if type(x) is not int:
             raise TypeError(f"observation must be an int, got {type(x).__name__}")
@@ -130,6 +134,10 @@ class IntSmoother:
         x = clamp_observation(x, n_alpha)
         now = self._clock()
         if type(now) is not int:  # a float or bool clock reads as its int()
+            if not isinstance(now, (int, float)):
+                raise TypeError(f"clock must return an int or float, got {type(now).__name__}")
+            if not math.isfinite(now):
+                raise ValueError(f"clock must return a finite time, got {now}")
             now = int(now)
         n = self.n
         # Strictly greater-than: a pause of exactly reset_interval does not reset.

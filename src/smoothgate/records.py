@@ -1,7 +1,6 @@
 """The C program's record formats: the "<count> <value>" pairs it reads and
 the verbose CSV row its ``-w`` file holds, shared by ``smooth`` and ``sim``."""
 
-import functools
 import re
 from itertools import chain
 from typing import Iterator
@@ -22,9 +21,6 @@ TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s"
 _SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]")
 _SCANF_BARE_SIGN = re.compile(r"[+-](?![0-9])")
 _C_SPACE = " \t\n\v\f\r"
-
-# read_pairs scans its text in slices of this many characters.
-_READ_BLOCK = 8192
 
 
 def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
@@ -48,26 +44,30 @@ def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
     return ints, "" if text[-1:] in _C_SPACE else ints.pop()
 
 
-def _pairs(read) -> Iterator[Iterator[tuple[int, int]]]:
-    """Yield, per piece of text that ``read()`` returns ("" at the end), an
-    iterator over the "<count> <value>" pairs C's fscanf loop finds that the
-    piece completes.
+def stream_blocks(stream) -> Iterator[Iterator[tuple[int, int]]]:
+    """Yield, per ``read1()`` buffer of a binary stream, an iterator over
+    the "<count> <value>" pairs C's fscanf loop finds that the buffer
+    completes.
 
-    Pairs convert only as they are taken, so those before an over-long
-    literal come before its ValueError.  Only a count waiting for its value
-    and a literal the next piece may continue are held back, and nothing is
-    read past the point where reading stops.
+    Each buffer is decoded as Latin-1, which maps every byte to one
+    character.  Pairs convert only as they are taken, so those before an
+    over-long literal come before its ValueError.  Besides one buffer's text
+    and literals, only a count waiting for its value and a literal the next
+    buffer may continue are held, so the memory held does not grow with the
+    number of records.  The next buffer is read once the iterator before it
+    is exhausted, and none past the point where reading stops.
     """
+    read1 = stream.read1
     count = None  # a complete literal still waiting for its value
     partial = ""
     while partial is not None:
-        pieces = [read()]
+        pieces = [read1().decode("latin-1")]
         if partial[-1:].isdigit():
-            # A literal that runs on through whole pieces is scanned once,
-            # when it ends, not again with each piece.  Only ASCII digits
+            # A literal that runs on through whole buffers is scanned once,
+            # when it ends, not again with each buffer.  Only ASCII digits
             # continue it: str.isdigit() also takes Latin-1's "\xb2\xb3\xb9".
             while pieces[-1].isascii() and pieces[-1].isdigit():
-                pieces.append(read())
+                pieces.append(read1().decode("latin-1"))
         ints, partial = _scan(partial + "".join(pieces), bool(pieces[-1]))
         if count is not None:
             ints.insert(0, count)
@@ -76,31 +76,14 @@ def _pairs(read) -> Iterator[Iterator[tuple[int, int]]]:
         yield zip(it, it)
 
 
-def read_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse "<count> <value>" integer pairs as C's
+def read_pairs(stream) -> list[tuple[int, int]]:
+    """Parse the "<count> <value>" integer pairs of a binary stream as C's
     ``while (fscanf(in, "%d%d", &count, &xt) == 2)`` loop does.
 
     Reading stops where no integer continues, so ``12abc`` gives 12 and
     ``0x10`` gives 0, and an unpaired last integer is dropped.  A literal
     longer than the interpreter's int-digit limit raises ValueError.
-    The text is scanned ``_READ_BLOCK`` characters at a time, so besides the
-    text and the pairs it returns, it holds the literals of one block.
+    The stream is read by ``stream_blocks``, so besides the pairs it
+    returns, it holds one buffer's text and literals.
     """
-    blocks = (text[i:i + _READ_BLOCK] for i in range(0, len(text), _READ_BLOCK))
-    return list(chain.from_iterable(_pairs(functools.partial(next, blocks, ""))))
-
-
-def stream_blocks(stream) -> Iterator[Iterator[tuple[int, int]]]:
-    """Yield, per ``read1()`` buffer of a binary stream, an iterator over
-    the pairs ``read_pairs`` finds that the buffer completes.
-
-    Each buffer is decoded as Latin-1, which maps every byte to one
-    character.  Besides one buffer's text and literals, only a count waiting
-    for its value and a literal the next buffer may continue are held, so
-    the memory held does not grow with the number of records.  The next
-    buffer is read once the iterator before it is exhausted, and none past
-    the point where reading stops.
-    """
-    read1 = stream.read1
-    return _pairs(lambda: read1().decode("latin-1"))
-
+    return list(chain.from_iterable(stream_blocks(stream)))

@@ -1,5 +1,6 @@
 import inspect
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from smoothgate import (
     IN_PROGRESS,
     NEW_SESSION,
     CongestionGate,
+    FloatSmoother,
     GateDecision,
     GatePolicy,
     GateStats,
@@ -19,6 +21,12 @@ from smoothgate import (
 )
 
 from tables import CANONICAL_TRACE, CANONICAL_VALUES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+REACTION_HEADER = (
+    "| `n_alpha` | Refuses after (T = 400 / 600 / 800) "
+    "| Admits again after (T = 400 / 600 / 800) | Peak forecast (float twin) | Trough |"
+)
 
 
 @pytest.fixture
@@ -264,3 +272,38 @@ class TestDecisionObjects:
         assert d == GateDecision(d.verdict, forecast, kind, retry_after)
         assert d._asdict() == {"verdict": d.verdict, "forecast_at_decision": forecast,
                                "request_kind": kind, "retry_after": retry_after}
+
+
+def reaction_table() -> str:
+    """The README's table of the gate's reaction to a step from 200 up to
+    1000 and back: 4n events at 200, 6n at 1000, then 8n at 200, one per
+    second, for each ``n_alpha`` n.  "Refuses after" counts the high events
+    up to the first refusal and "Admits again after" the low events up to
+    the first admission; the peak and trough are the integer forecast's,
+    with ``FloatSmoother(1/n)``'s peak, rounded, in brackets."""
+    lines = [REACTION_HEADER, "|---|---|---|---|---|"]
+    for n in (2, 3, 5, 10, 20):
+        clock = ManualClock(0)
+        smoother = IntSmoother(n_alpha=n, reset_interval=5, clock=clock)
+        twin = FloatSmoother(1 / n)
+        forecasts, twin_peak = [], 0.0
+        for x in [200] * (4 * n) + [1000] * (6 * n) + [200] * (8 * n):
+            clock.advance(1)
+            forecasts.append(smoother.update(x))
+            twin_peak = max(twin_peak, twin.update(x))
+        high, low = forecasts[4 * n:10 * n], forecasts[10 * n:]
+        refuses, admits = [], []
+        for threshold in (400, 600, 800):
+            policy = GatePolicy(threshold)
+            refuses.append(next(i for i, f in enumerate(high, 1)
+                                if not decide(policy, f).admitted))
+            admits.append(next(i for i, f in enumerate(low, 1) if decide(policy, f).admitted))
+        lines.append(f"| {n} | {' / '.join(map(str, refuses))} | {' / '.join(map(str, admits))} "
+                     f"| {max(forecasts)} ({round(twin_peak)}) | {min(forecasts)} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_the_readme_reaction_table_is_what_the_gate_does():
+    readme = README.read_text(encoding="utf-8")
+    start = readme.index(REACTION_HEADER)
+    assert readme[start:readme.index("\n\n", start) + 1] == reaction_table()

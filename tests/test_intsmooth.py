@@ -126,6 +126,24 @@ class TestResetTrace:
         assert sm.n == 2
         assert sm.last_update == 105 and type(sm.last_update) is int
 
+    @pytest.mark.parametrize("reading,error,message", [
+        ("7", TypeError, "clock must return an int or float, got str"),
+        (b"7", TypeError, "clock must return an int or float, got bytes"),
+        (None, TypeError, "clock must return an int or float, got NoneType"),
+        (float("nan"), ValueError, "clock must return a finite time, got nan"),
+        (float("inf"), ValueError, "clock must return a finite time, got inf"),
+        (float("-inf"), ValueError, "clock must return a finite time, got -inf"),
+    ])
+    def test_a_clock_reading_that_is_no_time_is_refused_before_any_state_moves(
+            self, reading, error, message):
+        readings = iter([100, reading])
+        sm = IntSmoother(n_alpha=5, reset_interval=5, clock=lambda: next(readings))
+        sm.update(40)
+        before = vars(sm).copy()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sm.update(60)
+        assert vars(sm) == before
+
     @pytest.mark.parametrize("later,n", [(55, 3), (56, 1)])
     def test_a_clock_that_steps_back_never_resets(self, later, n):
         # Stepping back is a negative elapsed time, not a pause; the next

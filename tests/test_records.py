@@ -1,6 +1,7 @@
 """The streaming record reader: whatever the buffers' sizes, it yields what
 C's fscanf loop reads, each pair once the buffer that completes it arrives."""
 
+import io
 from itertools import chain
 
 import pytest
@@ -55,7 +56,7 @@ class TestStreamPairs:
 
     def test_a_long_stream_reads_as_read_pairs_does(self):
         data = b"".join(b"%d %d\n" % (i, (i * 7919) % 100_003 - 50_000) for i in range(5_000))
-        expected = read_pairs(data.decode("latin-1"))
+        expected = read_pairs(io.BytesIO(data))
         assert len(expected) == 5_000
         for size in (7, 4096, len(data)):
             assert list(stream_pairs(Buffers(data, size))) == expected
@@ -90,7 +91,7 @@ class TestStreamPairs:
     def test_an_over_long_literal_raises_after_the_pairs_before_it(self):
         data = b"1 2 3 " + b"9" * 4400 + b" 4"
         with pytest.raises(ValueError):
-            read_pairs(data.decode("latin-1"))
+            read_pairs(io.BytesIO(data))
         pairs = stream_pairs(Buffers(data, 64))
         assert next(pairs) == (1, 2)
         with pytest.raises(ValueError):
@@ -113,7 +114,7 @@ class TestStreamPairs:
         monkeypatch.setattr(records, "_scan",
                             lambda text, more: scanned.append(len(text)) or real(text, more))
         with pytest.raises(ValueError):  # past the int-digit limit, as in read_pairs
-            read_pairs(data.decode("latin-1"))
+            read_pairs(Buffers(data, BLOCK))
         with pytest.raises(ValueError):
             list(stream_pairs(Buffers(data, 16)))
         assert sum(scanned) < 3 * len(data)
@@ -124,35 +125,36 @@ def test_a_leading_sign_reads_as_c_does(text):
     # C's %d takes a sign only when a digit follows it; "+1 2" is one pair.
     expected = read_pairs_reference(text)
     assert expected == ([(1, 2)] if text == "+1 2" else [])
-    assert read_pairs(text) == expected
+    assert read_pairs(io.BytesIO(text.encode())) == expected
     for size in (1, 2, 64):
         assert list(stream_pairs(Buffers(text.encode(), size))) == expected
 
 
-BLOCK = records._READ_BLOCK
+# The read1() buffer size these tests use, io.DEFAULT_BUFFER_SIZE.
+BLOCK = 8192
 # What may sit on a block boundary, each read as C reads it.
 _BOUNDARY_ITEMS = {
-    "literal": "123456789",
-    "bare-sign": "- ",
-    "signed-literal": "-98765",
-    "plus-literal": "+4321",
-    "stop": "x",
-    "nd-digit": "\u0663",
-    "latin1-digit": "\xb2",
+    "literal": b"123456789",
+    "bare-sign": b"- ",
+    "signed-literal": b"-98765",
+    "plus-literal": b"+4321",
+    "stop": b"x",
+    "nd-digit": "\u0663".encode(),
+    "latin1-digit": b"\xb2",
 }
 
 
-def _filler(length: int, pending: bool) -> str:
+def _filler(length: int, pending: bool) -> bytes:
     """Whole "<count> <value>" lines padded with spaces to ``length``
-    characters, ending with a count that waits for its value if ``pending``."""
-    head = "7 " if pending else ""
+    bytes, ending with a count that waits for its value if ``pending``."""
+    head = b"7 " if pending else b""
     lines, pad = divmod(length - len(head), 6)
-    return "12 34\n" * lines + " " * pad + head
+    return b"12 34\n" * lines + b" " * pad + head
 
 
 class TestReadPairsAcrossBlocks:
-    """read_pairs scans its text a block at a time; whatever falls on a
-    block boundary, it reads what C's fscanf loop reads."""
+    """read_pairs reads a stream one read1() buffer at a time; whatever
+    falls on a buffer boundary, it reads what C's fscanf loop reads."""
 
     @pytest.mark.parametrize("pending", [False, True], ids=["as-count", "as-value"])
     @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
@@ -160,18 +162,18 @@ class TestReadPairsAcrossBlocks:
     @pytest.mark.parametrize("item", list(_BOUNDARY_ITEMS.values()), ids=list(_BOUNDARY_ITEMS))
     def test_an_item_on_a_block_boundary(self, item, k, shift, pending):
         start = BLOCK * k + shift
-        text = _filler(start, pending) + item + " " + _filler(3 * BLOCK, False)
-        assert text.index(item, start - 2) == start and len(text) > 3 * BLOCK
-        expected = read_pairs_reference(text)
+        data = _filler(start, pending) + item + b" " + _filler(3 * BLOCK, False)
+        assert data.index(item, start - 2) == start and len(data) > 3 * BLOCK
+        expected = read_pairs_reference(data.decode("latin-1"))
         assert len(expected) >= (start - 2) // 6  # every pair before the item
-        assert read_pairs(text) == expected
+        assert read_pairs(Buffers(data, BLOCK)) == expected
 
     @pytest.mark.parametrize("pending", [False, True], ids=["unpaired-count", "last-value"])
     @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
     @pytest.mark.parametrize("k", [2, 3])
     def test_the_last_literal_on_a_block_boundary(self, k, shift, pending):
         start = BLOCK * k + shift
-        text = _filler(start, pending) + "55"
-        expected = read_pairs_reference(text)
+        data = _filler(start, pending) + b"55"
+        expected = read_pairs_reference(data.decode("latin-1"))
         assert expected[-1] == ((7, 55) if pending else (12, 34))
-        assert read_pairs(text) == expected
+        assert read_pairs(Buffers(data, BLOCK)) == expected
