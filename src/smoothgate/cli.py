@@ -74,7 +74,7 @@ def _getopt(args):
     one as ("?", glibc's message), and the operands, which glibc permutes
     behind the options: a value is the rest of its cluster or the next
     argument, and ``--`` ends the options.  ``--sim-clock``, the port's one
-    addition, comes as ("sim-clock", None).
+    addition, comes as ("sim-clock", None); any other ``--x`` is a cluster.
     """
     options, operands = [], []
     i = 0
@@ -86,8 +86,6 @@ def _getopt(args):
             break
         if arg == "--sim-clock":
             options.append(("sim-clock", None))
-        elif arg[:2] == "--":
-            options.append(("?", f"unrecognized option '{arg}'"))
         elif arg[:1] != "-" or arg == "-":
             operands.append(arg)
         else:
@@ -258,7 +256,7 @@ def cmd_weights(args) -> int:
 
 def cmd_trace(args) -> int:
     from . import forecast
-    from .sim import Scenario
+    from .sim import Scenario, generate
 
     series = Scenario(
         kind=args.series,
@@ -274,8 +272,7 @@ def cmd_trace(args) -> int:
     with_bias = args.model == "single" and args.series == "ramp"
     header = "t,observe,forecast" + (",bias" if with_bias else "")
     lines = [header]
-    for t in range(1, series.length + 1):
-        x = series.value_at(t)
+    for t, (_, x) in enumerate(generate(series), start=1):
         f = model.update(x)
         line = f"{t},{x},{f:.2f}"
         if with_bias:

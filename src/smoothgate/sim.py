@@ -162,7 +162,7 @@ class TraceRow(NamedTuple):
 
 
 class SimTrace:
-    """A scenario run, made as it is read; ``run`` builds one.
+    """A scenario run, made as it is read; ``run`` is this constructor.
 
     Each iteration runs the scenario afresh and yields one TraceRow per
     event, absorbed by the smoother at the event's time on a simulated clock
@@ -170,8 +170,8 @@ class SimTrace:
     session on the post-update forecast.  Every run yields the same rows.
     """
 
-    def __init__(self, scenario: Scenario, n_alpha: int, reset_interval: int,
-                 policy: GatePolicy | None):
+    def __init__(self, scenario: Scenario, *, n_alpha: int = 10, reset_interval: int = 5,
+                 policy: GatePolicy | None = None):
         if not isinstance(scenario, Scenario):
             raise TypeError(f"scenario must be a Scenario, got {type(scenario).__name__}")
         if policy is not None and not isinstance(policy, GatePolicy):
@@ -252,13 +252,5 @@ class SimTrace:
             chunks.append(row * (len(values) // width) % tuple(values))
 
 
-def run(
-    scenario: Scenario,
-    *,
-    n_alpha: int = 10,
-    reset_interval: int = 5,
-    policy: GatePolicy | None = None,
-) -> SimTrace:
-    """Drive an integer smoother (and optional gate) through a scenario.
-    Returns at once, with the arguments checked: each read runs it."""
-    return SimTrace(scenario, n_alpha, reset_interval, policy)
+# Checks its arguments and returns at once: each read of the trace runs it.
+run = SimTrace

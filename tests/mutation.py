@@ -1,15 +1,17 @@
-"""Mutation check for the integer kernel, the gate and the record reader.
+"""Mutation check for the integer kernel, the gate, the record reader, the
+simulator and the command line.
 
 Run from the repository root:
 
-    python tests/mutation.py [records intsmooth gate]
+    python tests/mutation.py [records intsmooth gate sim cli]
 
 Each mutant changes one spot of ``src/smoothgate/<module>.py``: a swapped
 comparison (``<`` and ``<=``, ``==`` and ``!=``, ``is`` and ``is not``,
 ...), a swapped arithmetic operator (``+`` and ``-``, ``*`` and ``//``,
 ...), or an int constant plus 1.  It runs against the module's tier-1 test
-files with ``-x -m "not slow"`` in a copy of ``src/`` and ``tests/``, and a
-failing or hung run kills it.  A mutant that survives must be in
+files with ``-x -m "not slow"`` in a copy of ``src/``, ``tests/``, and the
+``demos/`` and ``perfbench/`` that some of those tests run, and a failing
+or hung run kills it.  A mutant that survives must be in
 ``EQUIVALENT`` with the reason no test can tell it from the original; the
 script exits 1 when one is not, or when an entry there names no surviving
 mutant.  pytest does not collect this file.
@@ -34,6 +36,10 @@ TESTS = {
     "intsmooth": ["tests/test_intsmooth.py", "tests/test_properties.py",
                   "tests/test_stateful.py", "tests/test_acceptance.py"],
     "gate": ["tests/test_gate.py", "tests/test_stateful.py"],
+    "sim": ["tests/test_sim.py", "tests/test_row_format.py", "tests/test_acceptance.py",
+            "tests/test_cli.py", "tests/test_entry_points.py"],
+    "cli": ["tests/test_cli.py", "tests/test_row_format.py", "tests/test_entry_points.py",
+            "tests/test_smooth_stream.py", "tests/test_demos.py"],
 }
 
 # A fixed seed makes every run draw the same examples, so a mutant is
@@ -74,6 +80,16 @@ EQUIVALENT = {
         "elapsed time resets it, and then overwrites last_update",
     "intsmooth.IntSmoother.__init__: self.b = 0 -> self.b = 1":
         "b is read only once n > 0, and the update that raises n sets b first",
+    "sim.<module>: _CSV_BLOCK = 256 -> _CSV_BLOCK = 257":
+        "a block's size does not change the text, only how many rows one % formats",
+    "cli._c_int: decimal[:20] -> decimal[:21]":
+        "20 decimal digits already pass the long's end, so both saturate alike",
+    "cli._c_int: value + 2**31 -> value - 2 ** 31": "the two are equal modulo 2**32",
+    "cli.cmd_smooth: ManualClock(0) -> ManualClock(1)":
+        "only the differences between readings count, and the first update "
+        "starts from n = 0 whatever the time",
+    "cli.cmd_smooth: reset_time + 1 -> reset_time + 2":
+        "any pause longer than reset_time resets, and only the time slept differs",
 }
 
 
@@ -182,7 +198,7 @@ def main(modules) -> int:
     with tempfile.TemporaryDirectory(prefix="mutation-") as tmp:
         workdir = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos", "perfbench"):
             shutil.copytree(ROOT / part, workdir / part, ignore=skip)
         for name in ("pyproject.toml", "README.md"):
             shutil.copy(ROOT / name, workdir)

@@ -431,7 +431,8 @@ def smooth_argvs(draw):
     argv = []
     starts = [0]
     for _ in range(draw(st.integers(0, 6))):
-        item = draw(st.sampled_from(["-n", "-r", "-t", "-w", "-h", "-x", "in.txt", "extra", "--"]))
+        item = draw(st.sampled_from(
+            ["-n", "-r", "-t", "-w", "-h", "-x", "--x", "in.txt", "extra", "--"]))
         if item in ("-n", "-r", "-t", "-w"):
             extra = ["out.csv", "in.txt", "no/such.csv"] if item == "-w" else []
             value = draw(st.sampled_from(STRTOL_EDGES + extra))
@@ -471,6 +472,13 @@ SMOOTH_ARGVS = {
     "double-dash": ["--", "-n", "in.txt"],
     "trailing-double-dash": ["in.txt", "--"],
     "cluster": ["-hn", "3", "-", "in.txt"],
+    # getopt has no long options: "--foo" is a cluster of "-", "f", "o", "o".
+    "long-option": ["--foo", "in.txt"],
+    "long-option-takes-a-value": ["--n", "in.txt"],
+    "three-dashes": ["---", "in.txt"],
+    "sim-clock-misspelt": ["--sim-clockx", "in.txt"],
+    # 1 is the least value each int flag takes; ARGV_INPUT holds no count 1.
+    "smallest-valid-values": ["-n", "1", "-r", "1", "-t", "1", "-w", "out.csv", "in.txt"],
 }
 
 
@@ -488,6 +496,8 @@ class TestSmoothReadsArgvAsTheCOracle:
     @example(text="-9223372036854775808")
     @example(text="0x")
     @example(text="09")
+    @example(text="9223372036854775809")  # saturates at the long's end: -1
+    @example(text="-9223372041149743103")  # saturates, not wraps: 0
     def test_a_value_converts_as_libc_strtol_stored_in_an_int(self, text):
         strtol = ctypes.CDLL(None).strtol
         strtol.restype = ctypes.c_long
@@ -532,6 +542,10 @@ class TestWeightsCommand:
         assert captured.out == ""
         assert captured.err == "rows must be >= 1, got 0\n"
 
+    def test_twenty_rows_by_default(self, capsys):
+        assert main(["weights", "--alpha", "0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 20
+
     def test_output_file(self, capsys, tmp_path):
         out = tmp_path / "weights.csv"
         main(["weights", "--alpha", "0.10", "--output", str(out)])
@@ -562,6 +576,17 @@ class TestTraceCommand:
         main(["trace", "--model", "ma", "--window", "5", "--series", "ramp", "--length", "10"])
         lines = capsys.readouterr().out.splitlines()
         assert float(lines[10].split(",")[2]) == pytest.approx(70.0)
+
+    def test_twenty_rows_numbered_from_one_by_default(self, capsys):
+        assert main(["trace", "--model", "double", "--series", "ramp"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(1, 21)]
+
+    def test_the_moving_average_window_is_twenty_by_default(self, capsys):
+        # The ramp is 0, 10, ..., 240: row 25 averages values 6 to 25.
+        main(["trace", "--model", "ma", "--series", "ramp", "--length", "25"])
+        lines = capsys.readouterr().out.splitlines()
+        assert float(lines[25].split(",")[2]) == pytest.approx(sum(range(50, 250, 10)) / 20)
 
     def test_a_window_past_sys_maxsize_averages_the_whole_series(self, capsys):
         argv = ["trace", "--model", "ma", "--series", "step"]

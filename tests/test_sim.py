@@ -151,6 +151,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(kind="ramp", length=10, level=0, slope=-5)
 
+    def test_a_ramp_may_end_at_zero(self):
+        # The bound is the last value, level + slope*(length-1): 4 down to 0
+        # fits five events, and a sixth would be -1.
+        assert generate(Scenario(kind="ramp", level=4, slope=-1, length=5))[-1] == (4, 0)
+        with pytest.raises(ValueError, match="^ramp leaves the non-negative range$"):
+            Scenario(kind="ramp", level=4, slope=-1, length=6)
+
     @pytest.mark.parametrize("fields,message", [
         (dict(kind="constant", level=-1), "level must be >= 0, got -1"),
         (dict(kind="step", high=-1), "high must be >= 0, got -1"),
@@ -340,6 +347,16 @@ class TestRun:
     def test_trace_rows_are_contiguous_from_one(self):
         trace = run(Scenario(kind="constant", length=9, level=5))
         assert [r.t for r in trace.rows] == list(range(1, 10))
+
+    def test_run_is_the_trace_constructor_with_the_c_programs_defaults(self):
+        # n_alpha 10 and reset_interval 5, on a ramp whose forecasts move
+        # with either: its pause of 6 resets at 5 and not at 6.
+        scenario = ramp_scenario()
+        assert run is sim.SimTrace
+        rows = run(scenario).rows
+        assert rows == run(scenario, n_alpha=10, reset_interval=5).rows
+        assert rows != run(scenario, n_alpha=11, reset_interval=5).rows
+        assert rows != run(scenario, n_alpha=10, reset_interval=6).rows
 
 
 class TestTraceRowValue:
