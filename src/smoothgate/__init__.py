@@ -14,14 +14,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Names are looked up lightest module first, so the gate's names never load
-# forecast or sim.  __all__ lists them in _ALL_ORDER.
+# Lightest module first, so looking up a gate name never loads forecast or sim.
 _SUBMODULES = ("errors", "intsmooth", "gate", "forecast", "sim")
-_ALL_ORDER = ("errors", "forecast", "intsmooth", "gate", "sim")
 
 
 def _public_names() -> list:
-    return [name for module in _ALL_ORDER
+    return [name for module in _SUBMODULES
             for name in importlib.import_module(f"{__name__}.{module}").__all__]
 
 

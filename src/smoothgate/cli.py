@@ -15,7 +15,7 @@ import sys
 import time
 
 from .intsmooth import IntSmoother, ManualClock, system_seconds
-from .records import TRACE_COLUMNS, TRACE_ROW, stream_blocks
+from .records import _C_SPACE, TRACE_COLUMNS, TRACE_ROW, stream_blocks
 
 _COMMANDS = """\
 commands:
@@ -40,7 +40,7 @@ _SMOOTH_INTS = {"n": "n_alpha", "r": "reset_count", "t": "reset_time"}
 # strtol(s, 0, 0): C-locale white space, a sign, then hex digits after 0x,
 # octal digits after 0, or decimal digits; it stops at the first other one.
 # Compiled on first use, by re's cache: a run without -n, -r or -t needs none.
-_STRTOL = r"[ \t\n\v\f\r]*([+-]?)(?:0[xX]([0-9a-fA-F]+)|(0[0-7]*)|([0-9]*))"
+_STRTOL = f"[{_C_SPACE}]*([+-]?)(?:0[xX]([0-9a-fA-F]+)|(0[0-7]*)|([0-9]*))"
 # trace --model NAME: the forecast class it runs, built from --alpha
 # (--window for ma).
 _TRACE_MODELS = {"single": "SingleExpSmoother", "double": "DoubleExpSmoother",
@@ -152,7 +152,7 @@ def cmd_smooth(args) -> int:
                     print(err, file=sys.stderr)
                     failed = True
             elif letter == "h":
-                sys.stdout.write(_SMOOTH_USAGE)
+                _write_stdout(_SMOOTH_USAGE)
                 failed = True
             elif letter == "sim-clock":
                 sim_clock = True
@@ -167,14 +167,10 @@ def cmd_smooth(args) -> int:
         n_alpha, reset_count, reset_time = (
             params["n_alpha"], params["reset_count"], params["reset_time"])
 
-        out = sys.stdout
-        out.write("\n")
-        out.write(SMOOTH_TITLE + "\n")
         header = f"n_alpha = {n_alpha} reset_time = {reset_time}"
         if reset_count:
             header += f" reset_count = {reset_count}"
-        out.write(header + "\n")
-        out.write(SMOOTH_COLUMNS + "\n")
+        _write_stdout(f"\n{SMOOTH_TITLE}\n{header}\n{SMOOTH_COLUMNS}\n")
 
         if csv_file:
             csv_file.write(CSV_TITLE + "\n")
@@ -193,7 +189,7 @@ def cmd_smooth(args) -> int:
 
         smoother = IntSmoother(n_alpha=n_alpha, reset_interval=reset_time, clock=clock)
         update = smoother.update
-        write = out.write
+        write = _write_stdout
         csv_write = csv_file.write if csv_file else None
         csv_row = TRACE_ROW + "\n"
         diffsum = 0
@@ -287,18 +283,17 @@ def cmd_trace(args) -> int:
 
 
 def _simulate_params() -> tuple:
-    """simulate's flags: the parameters of Scenario, GatePolicy and
-    IntSmoother, but the values and the clock that the CLI gives.  run
-    passes n_alpha and reset_interval to IntSmoother unchanged; its own
-    signature is not read, since a wrapper may stand in its place."""
+    """simulate's flags: the parameters of Scenario, GatePolicy and run's
+    keywords, less the values (--replay-file gives them) and the policy (the
+    GatePolicy flags make it).  The keywords are read from SimTrace, since
+    a wrapper may stand in run's place."""
     from .gate import GatePolicy
-    from .sim import Scenario
+    from .sim import Scenario, SimTrace
 
-    init = IntSmoother.__init__.__code__
     return tuple(
-        tuple(name for name in names if name not in ("values", "clock"))
+        tuple(name for name in names if name not in ("values", "policy"))
         for names in (Scenario.__match_args__, GatePolicy.__match_args__,
-                      init.co_varnames[1:init.co_argcount])
+                      SimTrace.__init__.__kwdefaults__)
     )
 
 
@@ -343,8 +338,23 @@ def _emit(path, text: str) -> None:
             fh.write(text)
     else:
         # Flushed now, so a failed write is reported before any summary.
-        sys.stdout.write(text)
+        _write_stdout(text)
         sys.stdout.flush()
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout whole, or raise the OSError that cut it short.
+
+    Under ``python -u`` stdout's binary layer is the raw file, whose write
+    may take part of the bytes; the text layer would drop the rest."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 @functools.cache
@@ -366,7 +376,7 @@ def build_parser():
     p = sub.add_parser("weights")
     p.add_argument("--alpha", type=float, required=True, help="smoothing constant")
     p.add_argument("--rows", type=int, default=20, help="number of table rows")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
+    p.add_argument("--output", help="CSV path (default stdout)")
 
     p = sub.add_parser("trace")
     p.add_argument("--model", choices=tuple(_TRACE_MODELS), required=True)
@@ -376,11 +386,10 @@ def build_parser():
     p.add_argument("--length", type=int, default=20)
     p.add_argument("--low", type=int, default=100, help="step: level before the switch")
     p.add_argument("--high", type=int, default=200, help="step: level from the switch on")
-    p.add_argument("--switch-at", dest="switch_at", type=int, default=3,
-                   help="step: first index at the high level")
+    p.add_argument("--switch-at", type=int, default=3, help="step: first index at the high level")
     p.add_argument("--intercept", type=int, default=0, help="ramp: value at t=1")
     p.add_argument("--slope", type=int, default=10, help="ramp: increment per step")
-    p.add_argument("--output", default=None, help="CSV path (default stdout)")
+    p.add_argument("--output", help="CSV path (default stdout)")
 
     # No defaults but --output's: cmd_simulate passes only the given options.
     p = sub.add_parser(
@@ -392,7 +401,7 @@ def build_parser():
     choices = {"kind": GENERATOR_KINDS, "jitter": JITTER_KINDS, "mode": (DENY, DELAY)}
     for names in _simulate_params():
         for name in names:
-            p.add_argument("--" + name.replace("_", "-"), dest=name, required=name == "kind",
+            p.add_argument("--" + name.replace("_", "-"), required=name == "kind",
                            type=None if name in choices else int, choices=choices.get(name))
     p.add_argument("--replay-file",
                    help="replay: '<count> <value>' file supplying the observations")

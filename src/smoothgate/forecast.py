@@ -98,9 +98,8 @@ class FloatSmoother:
     """
 
     def __init__(self, alpha: float):
-        _check_alpha(alpha)
         self.alpha = alpha
-        self.n_alpha = startup_length(alpha)
+        self.n_alpha = startup_length(alpha)  # checks alpha first
         self.n = 0
         self.s1 = 0.0
         self.s2 = 0.0

@@ -18,9 +18,9 @@ TRACE_ROW = "%s,%s,%s,%s,%s,%s,%s,%s"
 # single-class searches cost less than their alternation).  In the text
 # left, every sign starts an integer, so a space put before each sign makes
 # ``split()`` yield exactly the ``[+-]?[0-9]+`` integers.
-_SCANF_STOP = re.compile(r"[^ \t\n\v\f\r+0-9-]")
+_C_SPACE = " \t\n\v\f\r"  # isspace() in the C locale
+_SCANF_STOP = re.compile(f"[^{_C_SPACE}+0-9-]")
 _SCANF_BARE_SIGN = re.compile(r"[+-](?![0-9])")
-_C_SPACE = " \t\n\v\f\r"
 
 
 def _scan(text: str, more: bool) -> tuple[list[str], str | None]:
