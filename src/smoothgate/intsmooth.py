@@ -3,9 +3,11 @@ elapsed-time reset.
 
 All arithmetic is 32-bit safe: observations are clamped so that every
 product and dividend stays inside the signed 32-bit range, and every
-division truncates toward zero the way C's signed ``/`` does.  The design
-goal is an algorithm that can run where floating point cannot (e.g. inside
-a kernel-level driver) while matching its real-arithmetic twin closely.
+division truncates toward zero the way C's signed ``/`` does.
+``tests/test_int_width.py`` checks every operation here at narrow word
+widths over every reachable state.  The design goal is an algorithm that
+can run where floating point cannot (e.g. inside a kernel-level driver)
+while matching its real-arithmetic twin closely.
 """
 
 import math
@@ -87,8 +89,7 @@ class IntSmoother:
 
         s1 = (x  + (n_alpha-1)*s1) / n_alpha
         s2 = (s1 + (n_alpha-1)*s2) / n_alpha
-        b  = (s1 - s2)/(n_alpha-1)                   # b = 0 when n_alpha == 1
-        ft = 2*s1 - s2 + b
+        ft = 2*s1 - s2 + (s1 - s2)/(n_alpha-1)   # C's ft; s1 if n_alpha == 1
 
     If more than ``reset_interval`` seconds pass between updates the sample
     count drops back to zero, so the next observation restarts the mean and
@@ -116,8 +117,8 @@ class IntSmoother:
         self.n = 0
         self.s1 = 0
         self.s2 = 0
+        self.ft = 0
         self.last_update = 0
-        self.b = 0  # slope; 0 during startup and when n_alpha == 1
 
     def update(self, x: int) -> int:
         """Absorb one observation and return the new forecast.
@@ -147,30 +148,28 @@ class IntSmoother:
         if n < n_alpha:
             n += 1
             self.n = n
-            s1 = s2 = cdiv(x + (n - 1) * self.s1, n)
-            b = 0
+            s1 = s2 = ft = cdiv(x + (n - 1) * self.s1, n)
         else:
             m = n_alpha - 1
             s1 = cdiv(x + m * self.s1, n_alpha)
             s2 = cdiv(s1 + m * self.s2, n_alpha)
-            b = cdiv(s1 - s2, m) if m else 0
+            ft = 2 * s1 - s2 + cdiv(s1 - s2, m) if m else s1
         self.s1 = s1
         self.s2 = s2
-        self.b = b
-        return 2 * s1 - s2 + b
+        self.ft = ft
+        return ft
 
     @property
     def forecast(self) -> int:
         """Most recent forecast; raises UnprimedError before the first update."""
         if self.n == 0:
             raise UnprimedError("forecast read before any observation")
-        return 2 * self.s1 - self.s2 + self.b
+        return self.ft
 
     def trend(self) -> tuple[int, int]:
-        """Current (level, slope) integer pair; slope is 0 when n_alpha == 1.
-
-        During startup s2 == s1, so this collapses to (s1, 0).
-        """
+        """Current (level, slope) integer pair, whose sum is the forecast ft;
+        the slope is 0 when n_alpha == 1 and during startup (s2 == s1)."""
         if self.n == 0:
             raise UnprimedError("trend read before any observation")
-        return 2 * self.s1 - self.s2, self.b
+        level = self.s1 + (self.s1 - self.s2)
+        return level, self.ft - level

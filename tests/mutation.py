@@ -34,7 +34,8 @@ TESTS = {
                 "tests/test_sim.py::TestReadPairsMatchesTheTokenLoop",
                 "tests/test_row_format.py"],
     "intsmooth": ["tests/test_intsmooth.py", "tests/test_properties.py",
-                  "tests/test_stateful.py", "tests/test_acceptance.py"],
+                  "tests/test_stateful.py", "tests/test_acceptance.py",
+                  "tests/test_int_width.py"],
     "gate": ["tests/test_gate.py", "tests/test_stateful.py"],
     "sim": ["tests/test_sim.py", "tests/test_row_format.py", "tests/test_acceptance.py",
             "tests/test_cli.py", "tests/test_entry_points.py"],
@@ -78,8 +79,8 @@ EQUIVALENT = {
     "intsmooth.IntSmoother.__init__: self.last_update = 0 -> self.last_update = 1":
         "n is 0 until the first update, which sets it to 1 whether or not the "
         "elapsed time resets it, and then overwrites last_update",
-    "intsmooth.IntSmoother.__init__: self.b = 0 -> self.b = 1":
-        "b is read only once n > 0, and the update that raises n sets b first",
+    "intsmooth.IntSmoother.__init__: self.ft = 0 -> self.ft = 1":
+        "ft is read only once n > 0, and the update that raises n sets ft first",
     "sim.<module>: _CSV_BLOCK = 256 -> _CSV_BLOCK = 257":
         "a block's size does not change the text, only how many rows one % formats",
     "cli._c_int: decimal[:20] -> decimal[:21]":

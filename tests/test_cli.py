@@ -668,6 +668,33 @@ class TestSimulateCommand:
         smooth_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
         assert sim_rows == smooth_rows
 
+    # 3,000 lognormal latencies, and 200 values with |x| in [2**30, 2**31)
+    # at n_alpha 1, where a forecast formed as 2 * s1 - s2 leaves int32.
+    REPLAYS = {
+        "lognormal": ("10", 3000, lambda rng: int(rng.lognormvariate(6, 0.6))),
+        "past-2**30": ("1", 200, lambda rng: rng.choice((1, -1)) * rng.randrange(2**30, 2**31)),
+    }
+
+    @pytest.mark.parametrize("spacing", ["0", "1"])
+    @pytest.mark.parametrize("replay", REPLAYS)
+    def test_smooth_csv_rows_are_a_replays_first_eight_columns(
+            self, capsys, tmp_path, replay, spacing):
+        n_alpha, length, draw = self.REPLAYS[replay]
+        rng = random.Random(11)
+        path = tmp_path / "in.txt"
+        path.write_text("".join(f"{i} {draw(rng)}\n" for i in range(1, length + 1)))
+        smooth_csv = tmp_path / "smooth.csv"
+        assert main(["smooth", "--sim-clock", "-n", n_alpha, "-w", str(smooth_csv),
+                     str(path)]) == 0
+        sim_csv = tmp_path / "sim.csv"
+        assert main(["simulate", "--kind", "replay", "--replay-file", str(path),
+                     "--n-alpha", n_alpha, "--spacing", spacing, "--output", str(sim_csv)]) == 0
+        capsys.readouterr()
+        smooth_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
+        sim_rows = [line.split(",")[:8] for line in sim_csv.read_text().splitlines()[1:]]
+        assert len(smooth_rows) == length
+        assert sim_rows == smooth_rows
+
     @pytest.mark.parametrize("argv,scenario", [
         (["--kind", "constant"], Scenario(kind="constant")),
         (["--kind", "step"], Scenario(kind="step")),
