@@ -28,6 +28,8 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name == "__all__":
         value = _public_names()
+    elif name.startswith("_"):  # no public name does; probes such as __wrapped__ load nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     else:
         for module in _SUBMODULES:
             module = importlib.import_module(f"{__name__}.{module}")

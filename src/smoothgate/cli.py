@@ -47,24 +47,19 @@ _TRACE_MODELS = {"single": "SingleExpSmoother", "double": "DoubleExpSmoother",
                  "ma": "MovingAverage"}
 
 
-class CliError(Exception):
-    """Rejected input; the message goes to stderr and the exit code is 1."""
-
-
 def _open(path, mode: str):
-    """Open a file a command was given, or raise CliError with C's message.
+    """Open a file a command was given, or raise ValueError with C's message.
 
-    Input ("rb") is bytes, which the reader decodes as Latin-1: that maps
-    every byte to one character, so input is read byte for byte as C reads
-    it.  A directory opened for reading reads as empty: C's fopen opens one
-    on Linux, and its first fscanf fails.
+    Input ("rb") is bytes, which the reader scans byte for byte as C reads
+    them.  A directory opened for reading reads as empty: C's fopen opens
+    one on Linux, and its first fscanf fails.
     """
     try:
         return open(path, mode) if mode == "rb" else open(path, mode, encoding="latin-1")
     except OSError as err:
         if mode == "rb" and isinstance(err, IsADirectoryError):
             return io.BytesIO()
-        raise CliError(f"Error opening {'input' if mode == 'rb' else 'output'} file = {path}")
+        raise ValueError(f"Error opening {'input' if mode == 'rb' else 'output'} file = {path}")
 
 
 def _getopt(args):
@@ -148,7 +143,7 @@ def cmd_smooth(args) -> int:
                     csv_file = None
                 try:
                     csv_file = _open(value, "w")
-                except CliError as err:
+                except ValueError as err:
                     print(err, file=sys.stderr)
                     failed = True
             elif letter == "h":
@@ -162,7 +157,7 @@ def cmd_smooth(args) -> int:
         if failed:
             return 1
         if not operands:
-            raise CliError(f"usage: {_SMOOTH_PROG} [opt-hn:r:t:w:] file name")
+            raise ValueError(f"usage: {_SMOOTH_PROG} [opt-hn:r:t:w:] file name")
         source = _open(operands[-1], "rb")
         n_alpha, reset_count, reset_time = (
             params["n_alpha"], params["reset_count"], params["reset_time"])
@@ -311,18 +306,18 @@ def cmd_simulate(args) -> int:
     replay_file = getattr(args, "replay_file", None)
     if args.kind != "replay":
         if replay_file is not None:
-            raise CliError(f"--replay-file needs --kind replay, got --kind {args.kind}")
+            raise ValueError(f"--replay-file needs --kind replay, got --kind {args.kind}")
     elif not replay_file:
-        raise CliError("replay needs --replay-file")
+        raise ValueError("replay needs --replay-file")
     else:
         with _open(replay_file, "rb") as fh:
             # Only the values are kept: the pairs die before the run.
             values = tuple(map(operator.itemgetter(1), read_pairs(fh)))
         if not values:
-            raise CliError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
+            raise ValueError(f"--replay-file {replay_file} holds no '<count> <value>' pair")
         scenario_options["values"] = values
     if policy_options and "threshold" not in policy_options:
-        raise CliError("--mode and --delay-amount need --threshold")
+        raise ValueError("--mode and --delay-amount need --threshold")
     scenario = Scenario(**scenario_options)
     policy = GatePolicy(**policy_options) if policy_options else None
     trace = run(scenario, policy=policy, **run_options)
@@ -423,7 +418,7 @@ def main(argv=None) -> int:
         # Flushed here, so a closed pipe raises below and not at exit.
         sys.stdout.flush()
         return rc
-    except (CliError, ValueError) as err:
+    except ValueError as err:
         print(err, file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -64,6 +64,8 @@ class Scenario(_Frozen):
         self.__dict__.update((name, args[name]) for name in self.__match_args__)
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.values, tuple):  # a list would be neither immutable nor hashable
+            raise TypeError(f"values must be a tuple, got {type(self.values).__name__}")
         if self.kind == "replay":
             if not self.values:
                 raise ValueError("replay scenario needs a non-empty values tuple")

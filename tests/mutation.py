@@ -30,7 +30,8 @@ PACKAGE = Path("src") / "smoothgate"
 
 # The tier-1 files that test each module.
 TESTS = {
-    "records": ["tests/test_records.py", "tests/test_sim.py::TestReadPairs",
+    "records": ["tests/test_records.py", "tests/test_reader_exhaustive.py",
+                "tests/test_sim.py::TestReadPairs",
                 "tests/test_sim.py::TestReadPairsMatchesTheTokenLoop",
                 "tests/test_row_format.py"],
     "intsmooth": ["tests/test_intsmooth.py", "tests/test_properties.py",

@@ -213,6 +213,16 @@ class TestSmoothCommand:
         assert rc == 1
         assert f"Invalid {name} = " in capsys.readouterr().err
 
+    def test_a_csv_path_open_refuses_is_reported_and_the_option_loop_goes_on(self, capsys,
+                                                                              data_dir):
+        # open() refuses a NUL byte with ValueError, not OSError; like any
+        # unopenable -w file, it fails the command once the loop is done.
+        rc = main(["smooth", "-w", "a\0b", "-h", str(data_dir / "canonical_input.txt")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "embedded null byte\n"
+        assert captured.out.startswith("usage: smoothgate smooth [-h]")
+
     def test_missing_input_file(self, capsys):
         rc = main(["smooth", "/no/such/file.txt"])
         assert rc == 1

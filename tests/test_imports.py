@@ -73,6 +73,13 @@ def test_importing_the_package_loads_no_submodule():
             if m.partition(".")[0] == "smoothgate"} == {"smoothgate"}
 
 
+def test_probing_an_absent_private_name_loads_no_submodule():
+    # inspect.unwrap and unittest.mock probe __wrapped__ this way.
+    assert {m for m in _loaded_by("import smoothgate\n"
+                                  "assert not hasattr(smoothgate, '__wrapped__')")
+            if m.partition(".")[0] == "smoothgate"} == {"smoothgate"}
+
+
 def test_a_submodule_attribute_loads_that_submodule():
     _run("import sys, smoothgate\n"
          "assert 'smoothgate.sim' not in sys.modules\n"

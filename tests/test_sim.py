@@ -197,6 +197,14 @@ class TestScenarioValidation:
         with pytest.raises(TypeError, match=f"^values must be an int, got {type(value).__name__}$"):
             Scenario(kind="replay", values=(3, value, 4))
 
+    @pytest.mark.parametrize("values", [[1, 2, 3], [], range(1, 4), iter((1, 2, 3))],
+                             ids=["list", "empty-list", "range", "iterator"])
+    def test_replay_values_must_be_a_tuple(self, values):
+        # A list stayed mutable and unhashable, and an iterator has no length.
+        with pytest.raises(TypeError,
+                           match=f"^values must be a tuple, got {type(values).__name__}$"):
+            Scenario(kind="replay", values=values)
+
     def test_a_non_int_value_deep_in_the_replay_is_refused(self):
         values = [5] * 5000
         values[3999] = True
