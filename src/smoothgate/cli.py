@@ -6,6 +6,7 @@ getopt loop does and loads only the integer kernel and the record reader.
 argparse, and the modules the other commands run, load only with them.
 """
 
+import errno
 import functools
 import io
 import operator
@@ -323,7 +324,10 @@ def cmd_simulate(args) -> int:
     trace = run(scenario, policy=policy, **run_options)
     _emit(args.output, trace.to_csv())
     summary = trace.stats.summary() if policy is not None else f"events={scenario.length}"
-    print(summary, file=sys.stdout if args.output else sys.stderr)
+    if args.output:
+        _write_stdout(summary + "\n")
+    else:
+        print(summary, file=sys.stderr)
     return 0
 
 
@@ -341,8 +345,11 @@ def _write_stdout(text: str) -> None:
     """Write text to stdout whole, or raise the OSError that cut it short.
 
     Under ``python -u`` stdout's binary layer is the raw file, whose write
-    may take part of the bytes; the text layer would drop the rest."""
+    may take part of the bytes; the text layer would drop the rest.  A
+    stdout closed when Python started is None, and takes no write."""
     out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     raw = getattr(out, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         out.write(text)
@@ -416,25 +423,29 @@ def main(argv=None) -> int:
         # By name, so a command replaced after this module loaded still runs.
         rc = globals()["cmd_" + command](args)
         # Flushed here, so a closed pipe raises below and not at exit.
-        sys.stdout.flush()
+        _flush_stdout()
         return rc
     except ValueError as err:
         print(err, file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # As the signal module's SIGPIPE note advises: the rest of stdout
-        # goes to devnull, so the flush at exit fails no second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OSError as err:
-        # A failed write, as on a full disk.  What stdout holds is kept if
-        # stdout still takes it, and sent to devnull as above if not.
-        print(f"Error writing output: {err.strerror or err}", file=sys.stderr)
+        # A closed pipe ends the command quietly, as SIGPIPE ends C; any
+        # other failed write, as on a full disk, gets one line.  What stdout
+        # holds is kept if stdout still takes it.  If not, the rest goes to
+        # devnull, as the signal module's SIGPIPE note advises, so the flush
+        # at exit fails no second time.
+        if not isinstance(err, BrokenPipeError):
+            print(f"Error writing output: {err.strerror or err}", file=sys.stderr)
         try:
-            sys.stdout.flush()
+            _flush_stdout()
         except OSError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+
+
+def _flush_stdout() -> None:
+    if sys.stdout is not None:  # None when Python started with it closed
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":

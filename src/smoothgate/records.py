@@ -54,9 +54,14 @@ def stream_blocks(stream) -> Iterator[Iterator[tuple[int, int]]]:
     literals, only a count waiting for its value and a literal the next
     buffer may continue are held, so the memory held does not grow with the
     number of records.  The next buffer is read once the iterator before it
-    is exhausted, and none past the point where reading stops.
+    is exhausted, and none past the point where reading stops.  A stream
+    with no ``read1``, text or raw, raises TypeError before any read.
     """
-    read1 = stream.read1
+    try:
+        read1 = stream.read1
+    except AttributeError:
+        raise TypeError("stream must be a buffered binary stream, such as "
+                        f'open(path, "rb") or io.BytesIO, got {type(stream).__name__}') from None
     count = None  # a complete literal still waiting for its value
     partial = b""
     while partial is not None:

@@ -55,11 +55,3 @@ def _compiler() -> str:
     if cc is None:
         pytest.skip("no C compiler available for the cross-language oracle")
     return cc
-
-
-def run_oracle(exe, args, cwd=None) -> str:
-    """Run the compiled C oracle and return its stdout."""
-    proc = subprocess.run(
-        [str(exe), *args], capture_output=True, text=True, check=True, cwd=cwd
-    )
-    return proc.stdout

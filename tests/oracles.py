@@ -126,6 +126,23 @@ def integer_trace(xs, n_alpha, *, event_times=None, reset_interval=5):
     return out
 
 
+def smooth_rows(records, n_alpha, *, event_times=None, reset_interval=5):
+    """The rows ``smooth`` writes for its (count, observe) records: one
+    (count, observe, forecast, diff, diffsum, n, s1, s2) tuple per record,
+    the report's five columns and then the ``-w`` CSV's state columns, from
+    ``integer_trace``'s state after each record."""
+    trace = integer_trace([x for _, x in records], n_alpha,
+                          event_times=event_times, reset_interval=reset_interval)
+    rows = []
+    diffsum = 0
+    for (count, x), state in zip(records, trace):
+        diff = x - state["ft"]
+        diffsum += diff
+        rows.append((count, x, state["ft"], diff, diffsum,
+                     state["n"], state["s1"], state["s2"]))
+    return rows
+
+
 def float_double_trace(xs, alpha, n_alpha, *, initial=None):
     """Step-by-step evaluation of the float double-smoothing recurrences.
 

@@ -20,7 +20,7 @@ from smoothgate import INT32_MAX, INT32_MIN, GatePolicy, Scenario, run
 from smoothgate import cli
 from smoothgate.cli import main
 
-from oracles import integer_trace
+from oracles import smooth_rows
 from tables import (
     CANONICAL_REPORT,
     DECAY_WEIGHT_ROWS,
@@ -131,6 +131,33 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path, argv, unbuffered):
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv,output,rc", [
+    (["smooth", "IN"], None, 1),
+    (["smooth", "-w", "OUT", "IN"], None, 1),
+    (["simulate", "--kind", "constant", "--length", "3"], None, 1),
+    (["simulate", "--kind", "constant", "--length", "3", "--output", "OUT"], "OUT", 1),
+    (["weights", "--alpha", "0.5", "--rows", "2"], None, 1),
+    (["weights", "--alpha", "0.5", "--rows", "2", "--output", "OUT"], "OUT", 0),
+    (["trace", "--model", "single", "--series", "step"], None, 1),
+    (["trace", "--model", "single", "--series", "step", "--output", "OUT"], "OUT", 0),
+])
+def test_a_stdout_closed_at_start_fails_only_the_commands_that_write_to_it(
+        tmp_path, argv, output, rc):
+    # Python starts with sys.stdout None when file descriptor 1 is closed.
+    # The file a command writes is still written whole.
+    (tmp_path / "IN").write_text("1 100\n2 200\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(smoothgate.__file__).parents[1]))
+    command = [sys.executable, "-m", "smoothgate.cli", *argv]
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command],
+                          cwd=tmp_path, capture_output=True, env=env, timeout=60)
+    message = b"Error writing output: Bad file descriptor\n" if rc else b""
+    assert (proc.returncode, proc.stderr) == (rc, message)
+    if output:
+        written = (tmp_path / output).read_bytes()
+        subprocess.run(command, cwd=tmp_path, capture_output=True, env=env, timeout=60)
+        assert written == (tmp_path / output).read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -268,12 +295,7 @@ class TestSmoothCommand:
         csv_path = tmp_path / "out.csv"
         assert main(["smooth", "--sim-clock", "-n", "10", "-w", str(csv_path), str(path)]) == 0
         report = capsys.readouterr().out.splitlines()[4:]
-        expected = []
-        diffsum = 0
-        for i, (x, st) in enumerate(zip(values, integer_trace(values, 10)), start=1):
-            diff = x - st["ft"]
-            diffsum += diff
-            expected.append((i, x, st["ft"], diff, diffsum, st["n"], st["s1"], st["s2"]))
+        expected = smooth_rows(list(enumerate(values, start=1)), 10)
         rows = [tuple(map(int, line.split(",")))
                 for line in csv_path.read_text().splitlines()[3:]]
         assert rows == expected
@@ -675,8 +697,8 @@ class TestSimulateCommand:
               "-w", str(smooth_csv), str(data_dir / "ramp_input.txt")])
         capsys.readouterr()
         sim_rows = [line.split(",")[:8] for line in sim_out.read_text().splitlines()[1:]]
-        smooth_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
-        assert sim_rows == smooth_rows
+        smooth_csv_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
+        assert sim_rows == smooth_csv_rows
 
     # 3,000 lognormal latencies, and 200 values with |x| in [2**30, 2**31)
     # at n_alpha 1, where a forecast formed as 2 * s1 - s2 leaves int32.
@@ -700,10 +722,10 @@ class TestSimulateCommand:
         assert main(["simulate", "--kind", "replay", "--replay-file", str(path),
                      "--n-alpha", n_alpha, "--spacing", spacing, "--output", str(sim_csv)]) == 0
         capsys.readouterr()
-        smooth_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
+        smooth_csv_rows = [line.split(",") for line in smooth_csv.read_text().splitlines()[3:]]
         sim_rows = [line.split(",")[:8] for line in sim_csv.read_text().splitlines()[1:]]
-        assert len(smooth_rows) == length
-        assert sim_rows == smooth_rows
+        assert len(smooth_csv_rows) == length
+        assert sim_rows == smooth_csv_rows
 
     @pytest.mark.parametrize("argv,scenario", [
         (["--kind", "constant"], Scenario(kind="constant")),

@@ -4,7 +4,7 @@ corpus checks that exercise the integer/float twins side by side."""
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothgate import (
@@ -93,19 +93,6 @@ def test_clamp_respects_the_int32_budget(x, n_alpha):
 def test_cdiv_equals_exact_rational_truncation(a, b):
     assert cdiv(a, b) == trunc_div(a, b)
     assert cdiv(a, -b) == trunc_div(a, -b)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_startup_mirrors_the_integer_twin_exactly_on_small_runs(seed):
-    rng = random.Random(seed)
-    n_alpha = rng.randint(1, 10)
-    xs = [rng.randint(-10**9, 10**9) for _ in range(n_alpha)]
-    sm = IntSmoother(n_alpha=n_alpha, clock=ManualClock(0))
-    expected = integer_trace(xs, n_alpha)
-    for x, exp in zip(xs, expected):
-        assert sm.update(x) == exp["ft"]
-        assert sm.s2 == sm.s1 == exp["s1"]
 
 
 def _corpus(rng, n_alpha, length):

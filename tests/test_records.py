@@ -34,7 +34,7 @@ def stream_pairs(stream):
     return chain.from_iterable(stream_blocks(stream))
 
 
-# White space, signs, digits and stray characters, as bytes read as Latin-1.
+# White space, signs, digits and stray bytes, which the reader scans as they are.
 _BYTES = st.sampled_from([b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c", b"+", b"-",
                           b"x", b"\x00", b"\x1c", b"\xa0", b"\xff", b"."])
 _DIGITS = st.sampled_from([b"0", b"1", b"7", b"9", b"12", b"305", b"40000"])
@@ -128,6 +128,22 @@ def test_a_leading_sign_reads_as_c_does(text):
     assert read_pairs(io.BytesIO(text.encode())) == expected
     for size in (1, 2, 64):
         assert list(stream_pairs(Buffers(text.encode(), size))) == expected
+
+
+@pytest.mark.parametrize("mode,buffering,kind", [
+    ("r", -1, "TextIOWrapper"), ("rb", 0, "FileIO"), (None, None, "StringIO")])
+def test_a_stream_with_no_read1_is_refused_before_any_read(tmp_path, mode, buffering, kind):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"1 2\n3 4\n")
+    message = ('stream must be a buffered binary stream, such as open(path, "rb") '
+               f"or io.BytesIO, got {kind}")
+    with open(path, mode, buffering) if mode else io.StringIO("1 2\n3 4\n") as stream:
+        with pytest.raises(TypeError) as read_pairs_error:
+            read_pairs(stream)
+        with pytest.raises(TypeError) as stream_blocks_error:
+            next(stream_blocks(stream))
+        assert stream.tell() == 0
+    assert str(read_pairs_error.value) == str(stream_blocks_error.value) == message
 
 
 # The read1() buffer size these tests use, io.DEFAULT_BUFFER_SIZE.

@@ -18,7 +18,7 @@ from smoothgate import DELAY, DENY, GatePolicy, Scenario, run
 from smoothgate.cli import main
 from smoothgate.sim import _CSV_BLOCK
 
-from oracles import integer_trace
+from oracles import smooth_rows
 
 N_ALPHA = 3
 RESET_TIME = 4
@@ -45,15 +45,14 @@ READ1_SIZE = 4_096
 
 
 def _smooth_expected(records, *, reset_count):
-    """The parent's report and CSV text, rendered with f-strings from the
-    oracle's state after each record."""
+    """The report and CSV text, rendered with f-strings from the oracle's
+    rows."""
     times, now = [], 0
     for count, _ in records:
         times.append(now)
         if reset_count and count == reset_count:
             now += RESET_TIME + 1
-    trace = integer_trace([x for _, x in records], N_ALPHA,
-                          event_times=times, reset_interval=RESET_TIME)
+    rows = smooth_rows(records, N_ALPHA, event_times=times, reset_interval=RESET_TIME)
     header = f"n_alpha = {N_ALPHA} reset_time = {RESET_TIME}"
     csv_header = f"n_alpha = {N_ALPHA},,reset_t = {RESET_TIME}"
     if reset_count:
@@ -63,14 +62,9 @@ def _smooth_expected(records, *, reset_count):
            "_____count_____observe_____forecast_____diff_____diffsum"]
     csv = ["Time Series Smoothing Algorithm", csv_header,
            "count,observe,forecast,diff,diffsum,n,stx1,stx2"]
-    diffsum = 0
-    for (count, xt), state in zip(records, trace):
-        ft = state["ft"]
-        diff = xt - ft
-        diffsum += diff
+    for count, xt, ft, diff, diffsum, n, s1, s2 in rows:
         out.append(f"{count:10d}{xt:10d}{ft:10d}{diff:10d}{diffsum:10d}")
-        csv.append(f"{count},{xt},{ft},{diff},{diffsum},"
-                   f"{state['n']},{state['s1']},{state['s2']}")
+        csv.append(f"{count},{xt},{ft},{diff},{diffsum},{n},{s1},{s2}")
     return "\n".join(out) + "\n", "\n".join(csv) + "\n"
 
 

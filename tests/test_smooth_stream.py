@@ -18,7 +18,7 @@ import pytest
 import smoothgate
 from smoothgate.cli import main
 
-from oracles import integer_trace
+from oracles import smooth_rows
 
 PACKAGE_PARENT = str(Path(smoothgate.__file__).parents[1])
 
@@ -85,13 +85,9 @@ def test_a_pause_on_a_live_fifo_resets_as_in_the_c_program(tmp_path, request):
 
     rc, out, err, csv = results["port"]
     assert (rc, err) == (0, b"")
-    expected = []
-    diffsum = 0
-    trace = integer_trace(values, 10, event_times=[0, 0, 0, 2, 2, 2], reset_interval=1)
-    for i, (x, st) in enumerate(zip(values, trace), start=1):
-        diffsum += x - st["ft"]
-        expected.append(f"{i},{x},{st['ft']},{x - st['ft']},{diffsum},"
-                        f"{st['n']},{st['s1']},{st['s2']}")
+    expected = [",".join(map(str, row)) for row in smooth_rows(
+        list(enumerate(values, start=1)), 10,
+        event_times=[0, 0, 0, 2, 2, 2], reset_interval=1)]
     assert csv.splitlines()[3:] == expected
     assert expected[3] == "4,400,400,0,150,1,400,400"
     if "c" in results:
